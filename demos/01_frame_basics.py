@@ -12,8 +12,8 @@ from framecalc import (
     demo_frame_2d,
     diagnostics,
     frame_operator,
+    frame_spectrum,
     frame_to_json,
-    jacobi_eigh,
     synthesis,
 )
 
@@ -30,10 +30,10 @@ def main():
     print("synthesis of those coefficients:", synthesis(frame, coeffs))
     print("(synthesis . analysis equals the frame operator acting on f)")
 
-    operator = frame_operator(frame)
     print("\nframe operator:")
-    print(operator)
-    decomp = jacobi_eigh(operator)
+    print(frame_operator(frame))
+    # Read from one SVD of the synthesis matrix; S itself is never factored.
+    decomp = frame_spectrum(frame)
     print("eigenvalues:", decomp.eigenvalues)
     print("eigenvectors (columns):")
     print(decomp.eigenvectors)

@@ -22,12 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .frames import Frame, NotAFrameError, frame_operator, optimal_bounds
-from .linalg import jacobi_eigh, operator_norm, spectral_apply, symmetrize
+from .frames import (
+    Frame,
+    _checked_bounds,
+    _checked_frame_bounds,
+    _format_float,
+    _probes,
+    frame_operator,
+    frame_spectrum,
+)
+from .linalg import operator_norm, spectral_function, symmetrize
 
 __all__ = [
     "BOUND_ABS_SLACK",
@@ -61,8 +69,6 @@ __all__ = [
 # few ulps. These slacks sit orders of magnitude below every stated tolerance.
 BOUND_REL_SLACK = 1e-12
 BOUND_ABS_SLACK = 1e-13
-
-BOUNDS_RTOL = 1e-9
 
 
 class Scheme(Enum):
@@ -141,26 +147,6 @@ def bound_satisfied(measured: float, bound: float) -> bool:
     return measured <= bound * (1.0 + BOUND_REL_SLACK) + BOUND_ABS_SLACK
 
 
-def _check_bounds(lower: float, upper: float) -> tuple[float, float]:
-    lower = float(lower)
-    upper = float(upper)
-    if not (0.0 < lower <= upper) or not math.isfinite(upper):
-        raise ValueError(f"bounds must satisfy 0 < A <= B, got ({lower}, {upper})")
-    return lower, upper
-
-
-def _check_frame_bounds(frame: Frame, lower: float, upper: float) -> tuple[float, float]:
-    lower, upper = _check_bounds(lower, upper)
-    lam_min, lam_max = optimal_bounds(frame)
-    slack = BOUNDS_RTOL * max(1.0, abs(lam_max))
-    if lower > lam_min + slack or lam_max > upper + slack:
-        raise ValueError(
-            f"declared bounds ({lower}, {upper}) do not enclose the "
-            f"frame-operator spectrum [{lam_min}, {lam_max}]"
-        )
-    return lower, upper
-
-
 def _check_order(order: int) -> int:
     order = int(order)
     if order < 0:
@@ -175,33 +161,19 @@ def _check_order(order: int) -> int:
 
 def neumann_R(frame: Frame, lower: float, upper: float) -> np.ndarray:
     """The remainder operator R = I - (2/(A+B)) S; ||R|| <= (B-A)/(B+A)."""
-    lower, upper = _check_frame_bounds(frame, lower, upper)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
     operator = frame_operator(frame)
     return symmetrize(np.eye(frame.dim) - (2.0 / (lower + upper)) * operator)
 
 
-def _series_terms(vectors: np.ndarray, op: np.ndarray, order: int) -> Iterator[np.ndarray]:
-    """Yield vectors @ op^k for k = 0..order, one matrix product per step."""
-    term = vectors
-    yield term
-    for _ in range(order):
-        term = term @ op
-        yield term
-
-
 def neumann_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
     """Order-N geometric-series approximation of the canonical dual."""
-    order = _check_order(order)
-    remainder = neumann_R(frame, lower, upper)
-    acc = np.zeros_like(frame.vectors)
-    for term in _series_terms(frame.vectors, remainder, order):
-        acc = acc + term
-    return Frame(frame.dim, (2.0 / (lower + upper)) * acc)
+    return _family(frame, Scheme.NEUMANN, lower, upper, order)
 
 
 def neumann_bound(lower: float, upper: float, order: int) -> float:
     """Worst relative reconstruction error of the order-N Neumann dual."""
-    lower, upper = _check_bounds(lower, upper)
+    lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
     return ((upper - lower) / (upper + lower)) ** (order + 1)
 
@@ -229,14 +201,7 @@ def binomial_tight(frame: Frame, lower: float, upper: float, order: int) -> Fram
     converges for any valid bounds, but the analytical error bound only
     converges when B < 3A.
     """
-    order = _check_order(order)
-    remainder = neumann_R(frame, lower, upper)
-    coeffs = binomial_half_coefficients(order)
-    acc = np.zeros_like(frame.vectors)
-    for k, term in enumerate(_series_terms(frame.vectors, remainder, order)):
-        sign = -1.0 if k % 2 else 1.0
-        acc = acc + (coeffs[k] * sign) * term
-    return Frame(frame.dim, math.sqrt(2.0 / (lower + upper)) * acc)
+    return _family(frame, Scheme.BINOMIAL_HALF, lower, upper, order)
 
 
 def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
@@ -245,7 +210,7 @@ def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
     ``convergent`` is False when B >= 3A, where the bound ratio (B-A)/(2A)
     reaches one and the estimates no longer shrink with N.
     """
-    lower, upper = _check_bounds(lower, upper)
+    lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
     ratio = (upper - lower) / (2.0 * lower)
     stretch = math.sqrt(upper / lower)
@@ -258,15 +223,7 @@ def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
 
 def binomial_remainder_norm(frame: Frame, lower: float, upper: float, order: int) -> float:
     """Spectral norm of (I-R)^(-1/2) minus its order-N binomial truncation."""
-    order = _check_order(order)
-    remainder = neumann_R(frame, lower, upper)
-    exact = spectral_apply(remainder, lambda r: (1.0 - r) ** -0.5)
-    coeffs = binomial_half_coefficients(order)
-    acc = np.zeros_like(remainder)
-    for k, term in enumerate(_series_terms(np.eye(frame.dim), remainder, order)):
-        sign = -1.0 if k % 2 else 1.0
-        acc = acc + (coeffs[k] * sign) * term
-    return operator_norm(symmetrize(exact - acc))
+    return _truncation_norm(frame, Scheme.BINOMIAL_HALF, lower, upper, order)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +237,7 @@ def log_regime(lower: float, upper: float) -> LogRegime:
     Boundary values (A = 1 or B = 1) route to the straddling construction,
     which is valid there, so the dispatch is total.
     """
-    lower, upper = _check_bounds(lower, upper)
+    lower, upper = _checked_bounds(lower, upper)
     if lower > 1.0:
         return LogRegime(
             RegimeKind.BOUNDS_ABOVE_ONE,
@@ -307,26 +264,19 @@ def log_regime(lower: float, upper: float) -> LogRegime:
     )
 
 
-def _log_generator(frame: Frame, lower: float, upper: float) -> tuple[float, np.ndarray]:
-    """Exponent prefactor c and remainder operator R_log with S^(-1) =
-    exp(c R_log)/sqrt(A B)."""
+def _log_generator(lower: float, upper: float) -> Callable[[float], float]:
+    """The generator c R_log as a scalar function of S: S^(-1) = exp(c R_log)/sqrt(A B).
+    With R_log = I - (2/(1+s)) log_base(shift S) for the regime's base and
+    shift, and c = log(base) (1+s)/2, the generator is c - log(shift S)."""
     regime = log_regime(lower, upper)
-    operator = frame_operator(frame)
-    s = regime.contraction
     if regime.kind is RegimeKind.BOUNDS_ABOVE_ONE:
-        log_op = spectral_apply(operator, lambda lam: math.log(lam) / math.log(upper))
-        prefactor = math.log(upper) * (1.0 + s) / 2.0
+        shift, base = 1.0, upper
     elif regime.kind is RegimeKind.BOUNDS_BELOW_ONE:
-        log_op = spectral_apply(operator, lambda lam: math.log(lam) / math.log(lower))
-        prefactor = math.log(lower) * (1.0 + s) / 2.0
+        shift, base = 1.0, lower
     else:
-        base = 2.0 * upper / lower
-        log_op = spectral_apply(
-            operator, lambda lam: math.log(2.0 * lam / lower) / math.log(base)
-        )
-        prefactor = math.log(base) * (1.0 + s) / 2.0
-    remainder = symmetrize(np.eye(frame.dim) - (2.0 / (1.0 + s)) * log_op)
-    return prefactor, remainder
+        shift, base = 2.0 / lower, 2.0 * upper / lower
+    prefactor = math.log(base) * (1.0 + regime.contraction) / 2.0
+    return lambda lam: prefactor - math.log(shift * lam)
 
 
 def log_exact_inverse(frame: Frame, lower: float, upper: float) -> np.ndarray:
@@ -335,10 +285,10 @@ def log_exact_inverse(frame: Frame, lower: float, upper: float) -> np.ndarray:
     Exponential and logarithm are evaluated exactly through the spectrum, so
     the result matches the spectral inverse of S in every regime.
     """
-    lower, upper = _check_frame_bounds(frame, lower, upper)
-    prefactor, remainder = _log_generator(frame, lower, upper)
-    exponential = spectral_apply(prefactor * remainder, math.exp)
-    return symmetrize(exponential / math.sqrt(lower * upper))
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
+    generator = _log_generator(lower, upper)
+    exponential = spectral_function(frame_spectrum(frame), lambda lam: math.exp(generator(lam)))
+    return exponential / math.sqrt(lower * upper)
 
 
 def log_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
@@ -347,56 +297,107 @@ def log_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
     The zeroth order is phi_i / sqrt(A B): the geometric mean of the bounds
     replaces the arithmetic mean of the Neumann scheme.
     """
+    return _family(frame, Scheme.LOGARITHMIC, lower, upper, order)
+
+
+def _exponential_tail(lower: float, upper: float, order: int, ratio_power: float) -> float:
+    """(B/A)^ratio_power * ((1-s) L / 2)^(N+1) / (N+1)!, summed in logs so that
+    it underflows to 0.0 and overflows to inf instead of raising."""
+    regime = log_regime(lower, upper)
     order = _check_order(order)
-    lower, upper = _check_frame_bounds(frame, lower, upper)
-    prefactor, remainder = _log_generator(frame, lower, upper)
-    scale = 1.0 / math.sqrt(lower * upper)
-    term = frame.vectors
-    acc = frame.vectors
-    for k in range(1, order + 1):
-        term = (term @ remainder) * (prefactor / k)
-        acc = acc + term
-    return Frame(frame.dim, scale * acc)
+    radius = (1.0 - regime.contraction) / 2.0 * regime.log_scale
+    if radius == 0.0:
+        return 0.0
+    log_value = (
+        ratio_power * math.log(upper / lower)
+        + (order + 1) * math.log(radius)
+        - math.lgamma(order + 2)
+    )
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def log_bound(lower: float, upper: float, order: int) -> float:
     """Worst relative reconstruction error of the order-N logarithmic dual:
     (B/A) * ((1-s) L / 2)^(N+1) / (N+1)! with regime constants (s, L)."""
-    regime = log_regime(lower, upper)
-    order = _check_order(order)
-    s = regime.contraction
-    radius = (1.0 - s) / 2.0 * regime.log_scale
-    return (upper / lower) * radius ** (order + 1) / math.factorial(order + 1)
+    return _exponential_tail(lower, upper, order, 1.0)
 
 
 def zn_bound(lower: float, upper: float, order: int) -> float:
     """Bound on the exponential-series truncation operator:
     sqrt(B/A) * ((1-s) L / 2)^(N+1) / (N+1)!."""
-    regime = log_regime(lower, upper)
-    order = _check_order(order)
-    s = regime.contraction
-    radius = (1.0 - s) / 2.0 * regime.log_scale
-    return math.sqrt(upper / lower) * radius ** (order + 1) / math.factorial(order + 1)
+    return _exponential_tail(lower, upper, order, 0.5)
 
 
 def log_remainder_norm(frame: Frame, lower: float, upper: float, order: int) -> float:
     """Spectral norm of exp(c R_log) minus its order-N Taylor truncation."""
-    order = _check_order(order)
-    lower, upper = _check_frame_bounds(frame, lower, upper)
-    prefactor, remainder = _log_generator(frame, lower, upper)
-    generator = symmetrize(prefactor * remainder)
-    exact = spectral_apply(generator, math.exp)
-    term = np.eye(frame.dim)
-    acc = np.eye(frame.dim)
+    return _truncation_norm(frame, Scheme.LOGARITHMIC, lower, upper, order)
+
+
+# ---------------------------------------------------------------------------
+# Series engine and convergence harness
+# ---------------------------------------------------------------------------
+
+
+# Ratio t_k / t_(k-1) of consecutive series coefficients: geometric, (-1)^k C(-1/2, k),
+# and 1/k! for the exponential.
+_STEP_WEIGHT = {
+    Scheme.NEUMANN: lambda k: 1.0,
+    Scheme.BINOMIAL_HALF: lambda k: (k - 0.5) / k,
+    Scheme.LOGARITHMIC: lambda k: 1.0 / k,
+}
+
+
+def _series(
+    frame: Frame, scheme: Scheme, lower: float, upper: float, start: np.ndarray, order: int
+) -> Iterator[np.ndarray]:
+    """Yield the partial sums t_0 + ... + t_N for N = 0..order, where t_0 = start
+    and t_k = t_(k-1) @ op * weight(k), with op = R (Neumann, BinomialHalf)
+    or the generator c R_log (Logarithmic); one matrix product per order."""
+    if scheme is Scheme.LOGARITHMIC:
+        op = spectral_function(frame_spectrum(frame), _log_generator(lower, upper))
+    else:
+        op = neumann_R(frame, lower, upper)
+    weight = _STEP_WEIGHT[scheme]
+    term = acc = start
+    yield acc
     for k in range(1, order + 1):
-        term = (term @ generator) / k
+        term = (term @ op) * weight(k)
         acc = acc + term
+        yield acc
+
+
+def _scale(scheme: Scheme, lower: float, upper: float) -> float:
+    """Factor turning a scheme's series into its approximate family."""
+    if scheme is Scheme.NEUMANN:
+        return 2.0 / (lower + upper)
+    if scheme is Scheme.BINOMIAL_HALF:
+        return math.sqrt(2.0 / (lower + upper))
+    return 1.0 / math.sqrt(lower * upper)
+
+
+def _family(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> Frame:
+    """The scheme's order-N approximate family (dual, or tight for BinomialHalf)."""
+    order = _check_order(order)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
+    for acc in _series(frame, scheme, lower, upper, frame.vectors, order):
+        pass
+    return Frame(frame.dim, _scale(scheme, lower, upper) * acc)
+
+
+def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> float:
+    """Spectral norm of the operator a scheme's series sums to, S^p / scale with
+    p = -1/2 (BinomialHalf) or -1, minus its order-N truncation on the identity."""
+    order = _check_order(order)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
+    for acc in _series(frame, scheme, lower, upper, np.eye(frame.dim), order):
+        pass
+    power = -0.5 if scheme is Scheme.BINOMIAL_HALF else -1.0
+    scale = _scale(scheme, lower, upper)
+    exact = spectral_function(frame_spectrum(frame), lambda lam: lam**power / scale)
     return operator_norm(symmetrize(exact - acc))
-
-
-# ---------------------------------------------------------------------------
-# Convergence harness
-# ---------------------------------------------------------------------------
 
 
 def run_convergence(
@@ -417,7 +418,7 @@ def run_convergence(
     where its error bound does not converge.
     """
     scheme = Scheme(scheme)
-    lower, upper = _check_frame_bounds(frame, lower, upper)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
     n_max = _check_order(n_max)
     if samples < 0:
         raise ValueError("samples must be non-negative")
@@ -427,43 +428,12 @@ def run_convergence(
             "the convergence condition of its error bound"
         )
 
-    decomp = jacobi_eigh(frame_operator(frame))
-    rng = np.random.default_rng(seed)
-    columns = [_unit_column(rng, frame.dim) for _ in range(samples)]
-    columns.append(np.array(decomp.eigenvectors))
-    probes = np.column_stack(columns) if len(columns) > 1 else columns[0]
+    probes = _probes(frame, samples, seed)
     probe_norms = np.linalg.norm(probes, axis=0)
-
-    if scheme is Scheme.LOGARITHMIC:
-        prefactor, op = _log_generator(frame, lower, upper)
-        scale = 1.0 / math.sqrt(lower * upper)
-    else:
-        op = neumann_R(frame, lower, upper)
-        if scheme is Scheme.NEUMANN:
-            prefactor = None
-            scale = 2.0 / (lower + upper)
-        else:
-            prefactor = None
-            scale = math.sqrt(2.0 / (lower + upper))
-            coeffs = binomial_half_coefficients(n_max)
-
     exact_coeffs = frame.vectors @ probes
-    term = frame.vectors
-    acc = None
+    scale = _scale(scheme, lower, upper)
     rows = []
-    for order in range(n_max + 1):
-        if order == 0:
-            acc = frame.vectors.copy()
-        elif scheme is Scheme.LOGARITHMIC:
-            term = (term @ op) * (prefactor / order)
-            acc = acc + term
-        elif scheme is Scheme.NEUMANN:
-            term = term @ op
-            acc = acc + term
-        else:
-            term = term @ op
-            sign = -1.0 if order % 2 else 1.0
-            acc = acc + (coeffs[order] * sign) * term
+    for order, acc in enumerate(_series(frame, scheme, lower, upper, frame.vectors, n_max)):
         family = scale * acc
 
         if scheme is Scheme.BINOMIAL_HALF:
@@ -491,19 +461,12 @@ def run_convergence(
     )
 
 
-def _unit_column(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal((dim, 1))
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            return v / norm
-
-
 def write_csv(report: ConvergenceReport, stream) -> None:
     """Serialize a convergence report; floats use 17 significant digits."""
     stream.write("scheme,A,B,N,measured_error,analytical_bound\n")
+    head = f"{report.scheme.value},{_format_float(report.lower)},{_format_float(report.upper)}"
     for row in report.rows:
         stream.write(
-            f"{report.scheme.value},{report.lower:.17g},{report.upper:.17g},"
-            f"{row.order},{row.measured_error:.17g},{row.analytical_bound:.17g}\n"
+            f"{head},{row.order},{_format_float(row.measured_error)},"
+            f"{_format_float(row.analytical_bound)}\n"
         )

@@ -20,15 +20,15 @@ import sys
 from .approx import Scheme, run_convergence, write_csv
 from .frames import (
     NotAFrameError,
+    _format_float,
     alpha_frame,
     diagnostics,
-    frame_operator,
+    frame_spectrum,
     frame_to_json,
     load_frame,
     optimal_bounds,
 )
 from .gabor import GaborParams, sample_grid, tightness_check, window_g
-from .linalg import jacobi_eigh
 from .reference import builtin_checks
 
 __all__ = ["main"]
@@ -40,10 +40,6 @@ SCHEMES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_value(value) -> str:
     if value is None:
         return "null"
@@ -52,7 +48,7 @@ def _json_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt(value)
+        return _format_float(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in value) + "]"
     return json.dumps(value)
@@ -114,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     frame = load_frame(args.frame)
     report = diagnostics(frame)
-    eigenvalues = jacobi_eigh(frame_operator(frame)).eigenvalues
     _print_json(
         [
             ("dim", frame.dim),
@@ -125,15 +120,14 @@ def _cmd_analyze(args) -> int:
             ("is_frame", report.is_frame),
             ("kernel_trivial", report.kernel_trivial),
             ("inverse_norm", report.inverse_norm),
-            ("eigenvalues", list(eigenvalues)),
+            ("eigenvalues", list(frame_spectrum(frame).eigenvalues)),
         ],
         sys.stdout,
     )
     return 0 if report.is_frame else 1
 
 
-def _emit_frame(frame, out_path) -> None:
-    text = frame_to_json(frame)
+def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -143,7 +137,7 @@ def _emit_frame(frame, out_path) -> None:
 
 def _cmd_alpha(args, exponent: float) -> int:
     frame = load_frame(args.frame)
-    _emit_frame(alpha_frame(frame, exponent), args.out)
+    _emit(frame_to_json(alpha_frame(frame, exponent)), args.out)
     return 0
 
 
@@ -165,16 +159,12 @@ def _cmd_perturb(args) -> int:
     )
     buffer = io.StringIO()
     write_csv(report, buffer)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _emit(buffer.getvalue(), args.out)
     violations = report.violations()
     for row in violations:
         print(
-            f"bound violated at N={row.order}: measured {row.measured_error:.17g} "
-            f"> bound {row.analytical_bound:.17g}",
+            f"bound violated at N={row.order}: measured {_format_float(row.measured_error)} "
+            f"> bound {_format_float(row.analytical_bound)}",
             file=sys.stderr,
         )
     return 1 if violations else 0

@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import jacobi_eigh, operator_norm, spectral_apply, symmetrize
+from .linalg import SVD, EigenDecomposition, eigh, spectral_function, svd, symmetrize
 
 __all__ = [
     "BoundCheckReport",
@@ -31,6 +32,7 @@ __all__ = [
     "dual_frame",
     "frame_from_dict",
     "frame_operator",
+    "frame_spectrum",
     "frame_to_json",
     "load_frame",
     "optimal_bounds",
@@ -46,9 +48,6 @@ FRAME_RANK_TOLERANCE = 1e-12
 # Relative slack when validating declared bounds against the spectrum.
 BOUNDS_RTOL = 1e-9
 
-# The exponent at which the power family becomes Parseval-tight.
-TIGHT_ALPHA = -0.5
-
 
 class NotAFrameError(ValueError):
     """The vector family does not span, or spans too marginally to invert."""
@@ -60,7 +59,9 @@ class Frame:
 
     ``declared_bounds`` are optional frame bounds (A, B); when present they
     are verified against the spectrum of the frame operator at construction.
-    They need not be optimal.
+    They need not be optimal. The family must have a frame operator that is
+    representable in float64. The synthesis matrix is factored at most once,
+    on first use, and every spectral query reads that factorization.
     """
 
     dim: int
@@ -80,25 +81,25 @@ class Frame:
             raise ValueError(f"declared dim {self.dim} != vector length {dim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("frame vectors must be finite")
+        # trace(S) = ||V||_F^2 bounds every entry of S; scaled so numpy never overflows.
+        peak = float(np.max(np.abs(arr)))
+        if peak > 0.0 and not math.isfinite(peak * peak * float(np.sum(np.square(arr / peak)))):
+            raise ValueError("frame vectors are too large: the frame operator overflows float64")
         arr.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vectors", arr)
         if self.declared_bounds is not None:
-            lower, upper = (float(x) for x in self.declared_bounds)
-            if not (0.0 < lower <= upper) or not math.isfinite(upper):
-                raise ValueError(f"bounds must satisfy 0 < A <= B, got ({lower}, {upper})")
-            object.__setattr__(self, "declared_bounds", (lower, upper))
-            lam_min, lam_max = optimal_bounds(self)
-            if not _bounds_dominate(lam_min, lam_max, lower, upper):
-                raise ValueError(
-                    f"declared bounds ({lower}, {upper}) do not enclose the "
-                    f"frame-operator spectrum [{lam_min}, {lam_max}]"
-                )
+            lower, upper = self.declared_bounds
+            object.__setattr__(self, "declared_bounds", _checked_frame_bounds(self, lower, upper))
 
     @property
     def count(self) -> int:
         """Number of frame vectors (the size of the index set)."""
         return self.vectors.shape[0]
+
+    @cached_property
+    def _svd(self) -> SVD:
+        return svd(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,25 @@ class BoundCheckReport:
     passed: bool
 
 
-def _bounds_dominate(lam_min: float, lam_max: float, lower: float, upper: float) -> bool:
+def _checked_bounds(lower: float, upper: float) -> tuple[float, float]:
+    lower = float(lower)
+    upper = float(upper)
+    if not (0.0 < lower <= upper) or not math.isfinite(upper):
+        raise ValueError(f"bounds must satisfy 0 < A <= B, got ({lower}, {upper})")
+    return lower, upper
+
+
+def _checked_frame_bounds(frame: Frame, lower: float, upper: float) -> tuple[float, float]:
+    """Valid bounds (A, B) that enclose the frame-operator spectrum, up to BOUNDS_RTOL."""
+    lower, upper = _checked_bounds(lower, upper)
+    lam_min, lam_max = optimal_bounds(frame)
     slack = BOUNDS_RTOL * max(1.0, abs(lam_max))
-    return lower <= lam_min + slack and lam_max <= upper + slack
+    if lower > lam_min + slack or lam_max > upper + slack:
+        raise ValueError(
+            f"declared bounds ({lower}, {upper}) do not enclose the "
+            f"frame-operator spectrum [{lam_min}, {lam_max}]"
+        )
+    return lower, upper
 
 
 def _is_frame_spectrum(lam_min: float, lam_max: float) -> bool:
@@ -165,9 +182,14 @@ def frame_operator(frame: Frame) -> np.ndarray:
     return symmetrize(frame.vectors.T @ frame.vectors)
 
 
+def frame_spectrum(frame: Frame) -> EigenDecomposition:
+    """Eigendecomposition of the frame operator, read from the frame's SVD."""
+    return frame._svd.spectrum
+
+
 def optimal_bounds(frame: Frame) -> tuple[float, float]:
     """Extreme eigenvalues of the frame operator (the tightest valid bounds)."""
-    eigenvalues = jacobi_eigh(frame_operator(frame)).eigenvalues
+    eigenvalues = frame_spectrum(frame).eigenvalues
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
@@ -175,49 +197,38 @@ def diagnostics(frame: Frame) -> FrameDiagnostics:
     """Spectral frame test; non-frames are reported, not rejected."""
     lam_min, lam_max = optimal_bounds(frame)
     is_frame = _is_frame_spectrum(lam_min, lam_max)
-    inverse_norm = None
-    if is_frame:
-        inverse = spectral_apply(frame_operator(frame), lambda lam: 1.0 / lam)
-        inverse_norm = operator_norm(inverse)
     return FrameDiagnostics(
         lambda_min=lam_min,
         lambda_max=lam_max,
         is_frame=is_frame,
         kernel_trivial=is_frame,
-        inverse_norm=inverse_norm,
+        inverse_norm=1.0 / lam_min if is_frame else None,
     )
 
 
 def alpha_frame(frame: Frame, alpha: float) -> Frame:
     """The power family {S^alpha phi_i} for the frame operator S.
 
-    For a frame with optimal bounds (A, B) the result is stamped with the
-    bounds it provably satisfies: (A^(2a+1), B^(2a+1)) for a > -1/2, exactly
-    (1, 1) at a = -1/2, and (B^(2a+1), A^(2a+1)) for a < -1/2. Negative
-    powers require the family to actually be a frame.
+    With ``V = U diag(s) W^T`` the family is ``U diag(s^(2a+1)) W^T`` and
+    keeps that factorization. For a frame with optimal bounds (A, B) the
+    result is stamped with the bounds it provably satisfies, the extreme
+    eigenvalues of its own frame operator: (A^(2a+1), B^(2a+1)) for
+    a > -1/2, exactly (1, 1) at a = -1/2, and (B^(2a+1), A^(2a+1)) for
+    a < -1/2. Negative powers require the family to actually be a frame.
     """
     alpha = float(alpha)
-    decomp = jacobi_eigh(frame_operator(frame))
-    lam_min = float(decomp.eigenvalues[0])
-    lam_max = float(decomp.eigenvalues[-1])
+    lam_min, lam_max = optimal_bounds(frame)
     frame_like = _is_frame_spectrum(lam_min, lam_max)
     if alpha < 0.0 and not frame_like:
         raise NotAFrameError("not a frame: fractional negative power undefined")
-
-    # Negative rounding dust on a PSD spectrum would poison fractional powers.
-    lam = np.maximum(decomp.eigenvalues, 0.0)
-    power = symmetrize((decomp.eigenvectors * lam**alpha) @ decomp.eigenvectors.T)
-
-    bounds: tuple[float, float] | None = None
+    factors = frame._svd.power(2.0 * alpha + 1.0)
+    right = factors.spectrum.eigenvectors
+    family = Frame(frame.dim, (factors.left * factors.singular_values) @ right.T)
+    # The family keeps its factorization, and its bounds are proved, not re-validated.
+    family.__dict__["_svd"] = factors
     if frame_like:
-        k = 2.0 * alpha + 1.0
-        if alpha > TIGHT_ALPHA:
-            bounds = (lam_min**k, lam_max**k)
-        elif alpha == TIGHT_ALPHA:
-            bounds = (1.0, 1.0)
-        else:
-            bounds = (lam_max**k, lam_min**k)
-    return Frame(frame.dim, frame.vectors @ power, bounds)
+        object.__setattr__(family, "declared_bounds", optimal_bounds(family))
+    return family
 
 
 def dual_frame(frame: Frame) -> Frame:
@@ -246,39 +257,27 @@ def proposition1_check(
     with the identity sum_i |<phi_i^(alpha), f>|^2 = <S^(2a+1) f, f>.
     Violations beyond the tolerance are reported, not raised.
     """
-    operator = frame_operator(frame)
-    decomp = jacobi_eigh(operator)
-    lam_min = float(decomp.eigenvalues[0])
-    lam_max = float(decomp.eigenvalues[-1])
-    if not _is_frame_spectrum(lam_min, lam_max):
+    if not _is_frame_spectrum(*optimal_bounds(frame)):
         raise NotAFrameError("not a frame: bounds are undefined")
 
     family = alpha_frame(frame, alpha)
     lower, upper = family.declared_bounds
-    power_op = spectral_apply(operator, lambda lam: lam ** (2.0 * alpha + 1.0))
+    power_op = spectral_function(frame_spectrum(frame), lambda lam: lam ** (2.0 * alpha + 1.0))
 
-    rng = np.random.default_rng(seed)
-    probes = [_unit_vector(rng, frame.dim) for _ in range(samples)]
-    probes.extend(decomp.eigenvectors[:, k] for k in range(frame.dim))
-
-    max_lower = 0.0
-    max_upper = 0.0
-    max_identity = 0.0
-    tolerance = 0.0
-    for f in probes:
-        norm_sq = float(f @ f)
-        total = float(np.sum(analysis(family, f) ** 2))
-        quadratic = float(f @ (power_op @ f))
-        max_lower = max(max_lower, lower * norm_sq - total)
-        max_upper = max(max_upper, total - upper * norm_sq)
-        max_identity = max(max_identity, abs(total - quadratic))
-        tolerance = max(tolerance, 1e-9 * max(1.0, upper * norm_sq))
+    probes = _probes(frame, samples, seed)
+    norm_sq = np.sum(probes * probes, axis=0)
+    totals = np.sum((family.vectors @ probes) ** 2, axis=0)
+    quadratic = np.sum(probes * (power_op @ probes), axis=0)
+    max_lower = max(0.0, float(np.max(lower * norm_sq - totals)))
+    max_upper = max(0.0, float(np.max(totals - upper * norm_sq)))
+    max_identity = float(np.max(np.abs(totals - quadratic)))
+    tolerance = 1e-9 * max(1.0, upper * float(np.max(norm_sq)))
     passed = max(max_lower, max_upper, max_identity) <= tolerance
     return BoundCheckReport(
         alpha=float(alpha),
         lower=lower,
         upper=upper,
-        samples=len(probes),
+        samples=probes.shape[1],
         max_lower_violation=max_lower,
         max_upper_violation=max_upper,
         max_identity_residual=max_identity,
@@ -295,27 +294,32 @@ def commuting_scale(frame: Frame, scale_op) -> Frame:
     definite, and commute with the frame operator (Frobenius norm of the
     commutator within 1e-9 of ||scale_op|| * ||S||).
     """
-    operator = frame_operator(frame)
-    decomp = jacobi_eigh(scale_op)
+    decomp = eigh(scale_op)
     scale = np.asarray(scale_op, dtype=float)
     lam_min = float(decomp.eigenvalues[0])
     lam_max = float(decomp.eigenvalues[-1])
     if lam_min <= FRAME_RANK_TOLERANCE * max(1.0, abs(lam_max)):
         raise ValueError("scaling operator must be positive definite")
+    operator = frame_operator(frame)
     commutator = scale @ operator - operator @ scale
-    limit = 1e-9 * operator_norm(scale) * operator_norm(operator)
+    limit = 1e-9 * lam_max * optimal_bounds(frame)[1]
     if float(np.linalg.norm(commutator)) > limit:
         raise ValueError("scaling operator must commute with the frame operator")
-    root = spectral_apply(scale, math.sqrt)
+    root = spectral_function(decomp, math.sqrt)
     return Frame(frame.dim, frame.vectors @ root)
 
 
-def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(dim)
+def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
+    """Probe vectors as columns: ``samples`` seeded unit vectors, then every
+    eigenvector of the frame operator."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    while len(columns) < samples:
+        v = rng.standard_normal(frame.dim)
         norm = float(np.linalg.norm(v))
         if norm > 1e-12:
-            return v / norm
+            columns.append(v / norm)
+    return np.column_stack(columns + [frame_spectrum(frame).eigenvectors])
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +365,7 @@ def load_frame(path) -> Frame:
 
 
 def _format_float(x: float) -> str:
+    """17 significant digits: enough for every float64 to round-trip."""
     return format(float(x), ".17g")
 
 

@@ -1,8 +1,14 @@
-"""Dense real symmetric linear algebra and spectral function calculus.
+"""Dense real linear algebra and spectral function calculus.
 
-The eigensolver is a cyclic Jacobi iteration. At desk scale (dimensions up
-to a few hundred) it is simple, accurate to near machine precision, and
-deterministic, which keeps golden outputs stable across platforms.
+Factorizations come from LAPACK through numpy: ``eigh`` for an exactly
+symmetric operator and ``svd`` for a frame's synthesis matrix, whose right
+singular vectors and squared singular values are the eigenpairs of the frame
+operator ``V.T @ V``. Factoring ``V`` instead of forming ``V.T @ V`` keeps
+the error of every spectral quantity near ``kappa(V) * eps`` rather than
+``kappa(V)**2 * eps``. Both return eigenvalues in ascending order with
+sign-normalized, read-only eigenvectors, so results are deterministic for a
+given numpy/BLAS build, and ``spectral_function`` turns either decomposition
+into an operator.
 """
 
 from __future__ import annotations
@@ -13,24 +19,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "EigenConvergenceError",
     "EigenDecomposition",
-    "jacobi_eigh",
+    "SVD",
+    "eigh",
     "operator_norm",
     "spectral_apply",
+    "spectral_function",
+    "svd",
     "symmetrize",
 ]
-
-# Sweep until the off-diagonal Frobenius mass falls below this fraction of
-# the input's Frobenius norm.
-OFF_DIAGONAL_TOLERANCE = 1e-13
-
-# Hard cap on full Jacobi sweeps before giving up.
-MAX_SWEEPS = 100
-
-
-class EigenConvergenceError(RuntimeError):
-    """The Jacobi iteration did not reach its off-diagonal target."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -45,6 +42,30 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+class SVD(NamedTuple):
+    """Factorization ``V = left @ diag(singular_values) @ right.T`` of a
+    count x dim matrix, with ``right = spectrum.eigenvectors``.
+
+    ``spectrum`` is the eigendecomposition of ``V.T @ V``: eigenvalues
+    ``singular_values**2``, ascending, under the conventions of
+    ``EigenDecomposition``. With fewer rows than columns the missing singular
+    values are zeros, paired with zero columns of ``left``.
+    """
+
+    left: np.ndarray
+    singular_values: np.ndarray
+    spectrum: EigenDecomposition
+
+    def power(self, exponent: float) -> SVD:
+        """Factorization of ``left @ diag(singular_values**exponent) @ right.T``."""
+        order = slice(None, None, -1) if exponent < 0.0 else slice(None)
+        return _svd(
+            self.left[:, order],
+            self.singular_values[order] ** exponent,
+            self.spectrum.eigenvectors[:, order],
+        )
+
+
 def symmetrize(matrix) -> np.ndarray:
     """Average a square matrix with its transpose.
 
@@ -53,135 +74,85 @@ def symmetrize(matrix) -> np.ndarray:
     the routines below must be built this way (or be symmetric by literal
     construction).
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = _square_finite(matrix)
     return (a + a.T) / 2.0
 
 
-def _checked_operator(matrix) -> np.ndarray:
+def _square_finite(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("operator dimension must be at least 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric; build it with symmetrize()")
     return a
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries: subtracting the diagonal
-    # mass from the total would cancel catastrophically near convergence.
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _lead_signs(vectors: np.ndarray) -> np.ndarray:
+    """Per column, the sign that makes its first largest-magnitude entry non-negative."""
+    lead = np.argmax(np.abs(vectors), axis=0)
+    return np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Two-sided Jacobi rotation zeroing a[p, q], accumulated into v."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    diff = a[q, q] - a[p, p]
-    if abs(apq) < 1e-36 * abs(diff):
-        # Tiny rotation angle; the quadratic formula would overflow.
-        t = apq / diff
-    else:
-        theta = diff / (2.0 * apq)
-        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    v_p = v[:, p].copy()
-    v_q = v[:, q].copy()
-    v[:, p] = c * v_p - s * v_q
-    v[:, q] = s * v_p + c * v_q
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array = np.ascontiguousarray(array)
+    array.flags.writeable = False
+    return array
 
 
-def jacobi_eigh(matrix) -> EigenDecomposition:
-    """Eigendecomposition of an exactly symmetric real matrix.
+def _svd(left: np.ndarray, singular_values: np.ndarray, right: np.ndarray) -> SVD:
+    spectrum = EigenDecomposition(_read_only(singular_values**2), _read_only(right))
+    return SVD(_read_only(left), _read_only(singular_values), spectrum)
 
-    Cyclic Jacobi sweeps run until the off-diagonal Frobenius norm drops
-    below ``OFF_DIAGONAL_TOLERANCE`` times the Frobenius norm of the input,
-    or ``MAX_SWEEPS`` is exhausted (then ``EigenConvergenceError`` reports
-    the remaining off-diagonal residual).
+
+def eigh(matrix) -> EigenDecomposition:
+    """Eigendecomposition of an exactly symmetric real matrix."""
+    a = _square_finite(matrix)
+    if a.shape[0] < 1:
+        raise ValueError("operator dimension must be at least 1")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix is not symmetric; build it with symmetrize()")
+    eigenvalues, vectors = np.linalg.eigh(a)
+    return EigenDecomposition(_read_only(eigenvalues), _read_only(vectors * _lead_signs(vectors)))
+
+
+def svd(matrix) -> SVD:
+    """Singular value decomposition of a finite count x dim matrix, ascending."""
+    a = np.asarray(matrix, dtype=float)
+    count, dim = a.shape
+    left, singular_values, right_t = np.linalg.svd(a, full_matrices=count < dim)
+    if count < dim:
+        left = np.hstack([left, np.zeros((count, dim - count))])
+        singular_values = np.concatenate([singular_values, np.zeros(dim - count)])
+    right = right_t[::-1].T
+    signs = _lead_signs(right)
+    return _svd(left[:, ::-1] * signs, singular_values[::-1], right * signs)
+
+
+def spectral_function(decomp: EigenDecomposition, func: Callable[[float], float]) -> np.ndarray:
+    """The operator ``V @ diag(func(w)) @ V.T`` of a decomposition, exactly symmetric.
+
+    ``func`` must be finite on every eigenvalue; otherwise a ``ValueError``
+    naming the offending eigenvalue is raised.
     """
-    s = _checked_operator(matrix)
-    n = s.shape[0]
-    a = s.copy()
-    v = np.eye(n)
-    target = OFF_DIAGONAL_TOLERANCE * float(np.linalg.norm(s))
-
-    converged = False
-    for _ in range(MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, v, p, q)
-    if not converged and _off_diagonal_norm(a) > target:
-        raise EigenConvergenceError(
-            f"no convergence after {MAX_SWEEPS} Jacobi sweeps: off-diagonal "
-            f"residual {_off_diagonal_norm(a):.3e} exceeds target {target:.3e}"
-        )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = np.ascontiguousarray(v[:, order])
-    for k in range(n):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
-    eigenvalues.flags.writeable = False
-    vectors.flags.writeable = False
-    return EigenDecomposition(eigenvalues, vectors)
-
-
-def spectral_apply(matrix, func: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum.
-
-    Returns ``V @ diag(func(w)) @ V.T``, exactly symmetric. ``func`` must be
-    finite on every eigenvalue; otherwise a ``ValueError`` naming the
-    offending eigenvalue is raised.
-    """
-    decomp = jacobi_eigh(matrix)
     values = np.empty(len(decomp.eigenvalues))
     for k, eigenvalue in enumerate(decomp.eigenvalues):
         lam = float(eigenvalue)
         try:
             value = float(func(lam))
+            if not math.isfinite(value):
+                raise ValueError(f"got {value!r}")
         except (ArithmeticError, ValueError) as exc:
-            raise ValueError(
-                f"spectral function undefined at eigenvalue {lam!r}: {exc}"
-            ) from exc
-        if not math.isfinite(value):
-            raise ValueError(
-                f"spectral function undefined at eigenvalue {lam!r}: got {value!r}"
-            )
+            raise ValueError(f"spectral function undefined at eigenvalue {lam!r}: {exc}") from exc
         values[k] = value
     return symmetrize((decomp.eigenvectors * values) @ decomp.eigenvectors.T)
 
 
+def spectral_apply(matrix, func: Callable[[float], float]) -> np.ndarray:
+    """Apply a scalar function to a symmetric matrix through its spectrum
+    (see ``spectral_function``)."""
+    return spectral_function(eigh(matrix), func)
+
+
 def operator_norm(matrix) -> float:
     """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    decomp = jacobi_eigh(matrix)
-    return float(np.max(np.abs(decomp.eigenvalues)))
+    return float(np.max(np.abs(eigh(matrix).eigenvalues)))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, alpha_frame, analysis, frame_operator, proposition1_check
+from .frames import Frame, alpha_frame, analysis, frame_operator, frame_spectrum, proposition1_check
 from .gabor import GaborParams, sample_grid, tightness_check, window_g
-from .linalg import jacobi_eigh
 
 __all__ = [
     "CheckResult",
@@ -153,7 +152,7 @@ def builtin_checks(seed: int = 20240801) -> list[CheckResult]:
     frame2 = demo_frame_2d()
     record("2d-frame-operator", _vectors_close(frame_operator(frame2), OPERATOR_2D, 0), 1e-10)
 
-    decomp = jacobi_eigh(frame_operator(frame2))
+    decomp = frame_spectrum(frame2)
     eig_dev = _vectors_close(decomp.eigenvalues, np.array([1.0, 2.0]), 0)
     expected_vectors = np.array([[1.0, 1.0], [-1.0, 1.0]]) / SQRT2
     vec_dev = _vectors_close(decomp.eigenvectors, expected_vectors, 0)
@@ -193,7 +192,7 @@ def builtin_checks(seed: int = 20240801) -> list[CheckResult]:
     frame3 = demo_frame_3d()
     record("3d-frame-operator", _vectors_close(frame_operator(frame3), OPERATOR_3D, 0), 1e-9)
 
-    decomp3 = jacobi_eigh(frame_operator(frame3))
+    decomp3 = frame_spectrum(frame3)
     eig_dev = _vectors_close(decomp3.eigenvalues, np.array([1.0, 1.0, 2.0]), 0)
     top = decomp3.eigenvectors[:, 2]
     top_dev = _vectors_close(top, np.full(3, 1.0 / math.sqrt(3.0)), 0)

@@ -25,9 +25,9 @@ from framecalc import (
     demo_frame_3d,
     demo_gabor_params,
     dual_frame,
+    eigh,
     frame_operator,
     gabor_probe_signals,
-    jacobi_eigh,
     log_bound,
     log_dual,
     log_exact_inverse,
@@ -58,7 +58,7 @@ def test_criterion_1_reference_frame_reproduction():
     operator = frame_operator(frame)
     np.testing.assert_allclose(operator, np.array([[1.5, 0.5], [0.5, 1.5]]), atol=1e-10)
 
-    decomp = jacobi_eigh(operator)
+    decomp = eigh(operator)
     np.testing.assert_allclose(decomp.eigenvalues, [1.0, 2.0], atol=1e-10)
     expected_vectors = np.column_stack([[1.0, -1.0], [1.0, 1.0]]) / SQRT2
     np.testing.assert_allclose(decomp.eigenvectors, expected_vectors, atol=1e-10)
@@ -99,7 +99,7 @@ def test_criterion_3_three_dimensional_reference_frame():
         np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 3.0,
         atol=1e-9,
     )
-    decomp = jacobi_eigh(frame_operator(frame))
+    decomp = eigh(frame_operator(frame))
     np.testing.assert_allclose(decomp.eigenvalues, [1.0, 1.0, 2.0], atol=1e-9)
 
     tight = alpha_frame(frame, -0.5)

@@ -233,6 +233,16 @@ def test_log_dual_converges_to_dual():
     assert np.max(np.abs(approx.vectors - exact.vectors)) <= 1e-9
 
 
+def test_log_and_zn_bounds_never_raise():
+    # (N+1)! overflows a float from N = 170; the bounds are summed in logs.
+    assert log_bound(1.0, 2.0, 200) == 0.0
+    assert zn_bound(1.0, 2.0, 200) == 0.0
+    for order in (0, 170, 345, 10_000):
+        for bound in (log_bound, zn_bound):
+            assert bound(1e-150, 1e150, order) >= 0.0
+    assert log_bound(1e-150, 1e150, 345) == math.inf
+
+
 def test_log_bound_values_and_decay():
     for order in range(5):
         expected = 2.0 * (0.25 * math.log(4.0)) ** (order + 1) / math.factorial(order + 1)

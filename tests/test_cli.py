@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,32 @@ def test_examples_all_pass(capsys):
     code, again, _ = run_cli(capsys, ["examples"])
     assert code == 0
     assert again == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["alpha", "--alpha", "0.5"], ["dual"], ["perturb", "--scheme", "neumann"]],
+)
+def test_near_overflow_entries_exit_two(argv, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    rows = np.random.default_rng(97).uniform(0.5, 1.0, (4, 3)) * 1e308
+    path.write_text(json.dumps({"dim": 3, "vectors": rows.tolist()}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, [argv[0], str(path)] + argv[1:])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows float64" in err
+
+
+def test_perturb_logarithmic_high_order(frame_file, capsys):
+    code, out, err = run_cli(
+        capsys, ["perturb", frame_file, "--scheme", "logarithmic", "--N-max", "200"]
+    )
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 201
+    assert float(rows[-1]["analytical_bound"]) == 0.0
 
 
 def test_gabor_defaults(capsys):

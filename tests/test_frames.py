@@ -9,6 +9,7 @@ from conftest import random_frame, random_unit
 from framecalc import (
     Frame,
     NotAFrameError,
+    Scheme,
     alpha_frame,
     analysis,
     commuting_scale,
@@ -16,15 +17,16 @@ from framecalc import (
     demo_frame_3d,
     diagnostics,
     dual_frame,
+    eigh,
     frame_from_dict,
     frame_operator,
     frame_to_json,
-    jacobi_eigh,
     load_frame,
     operator_norm,
     optimal_bounds,
     proposition1_check,
     reconstruct,
+    run_convergence,
     spectral_apply,
     symmetrize,
     synthesis,
@@ -52,6 +54,32 @@ def test_frame_validation():
         Frame(2, np.eye(2), (-1.0, 1.0))
     with pytest.raises(ValueError, match="do not enclose"):
         Frame(2, np.eye(2), (1.5, 2.0))
+    with pytest.raises(ValueError, match="overflows float64"):
+        Frame(1, np.array([[1e160]]))
+
+
+def test_one_factorization_per_frame(monkeypatch):
+    calls = {"svd": 0, "eigh": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(83)
+    frame = random_frame(rng, 5, 11, 1.0, 2.5, declared=True)
+    alpha_frame(frame, 0.5)
+    dual_frame(frame)
+    reconstruct(frame, -1.0 / 3.0, rng.standard_normal(5))
+    diagnostics(frame)
+    proposition1_check(frame, -0.25, samples=8, seed=1)
+    for scheme in Scheme:
+        assert run_convergence(frame, scheme, 1.0, 2.5, 5, 8, 2).passed
+    assert calls == {"svd": 1, "eigh": 0}
 
 
 def test_frame_vectors_are_immutable():
@@ -285,11 +313,11 @@ def test_operator_power_bounds():
     frame = random_frame(rng, 5, 11, 0.5, 4.0)
     op = frame_operator(frame)
     for gamma in (0.0, 0.5, 2.0):
-        eigs = jacobi_eigh(spectral_apply(op, lambda lam: lam**gamma)).eigenvalues
+        eigs = eigh(spectral_apply(op, lambda lam: lam**gamma)).eigenvalues
         assert eigs[0] == pytest.approx(0.5**gamma, rel=1e-9)
         assert eigs[-1] == pytest.approx(4.0**gamma, rel=1e-9)
     for gamma in (-0.5, -1.0, -2.0):
-        eigs = jacobi_eigh(spectral_apply(op, lambda lam: lam**gamma)).eigenvalues
+        eigs = eigh(spectral_apply(op, lambda lam: lam**gamma)).eigenvalues
         assert eigs[0] == pytest.approx(4.0**gamma, rel=1e-9)
         assert eigs[-1] == pytest.approx(0.5**gamma, rel=1e-9)
 
@@ -338,6 +366,20 @@ def test_proposition1_tight_for_any_frame():
         report = proposition1_check(frame, -0.5, samples=25, seed=2)
         assert report.passed
         assert report.lower == report.upper == 1.0
+
+
+def test_ill_conditioned_dual_and_bound_check():
+    # 16 x 32 frames with a known spectrum; the error scales with
+    # kappa(V) * eps = sqrt(kappa(S)) * eps because S is never formed.
+    rng = np.random.default_rng(89)
+    frame = random_frame(rng, 16, 32, 1.0, 1e11)
+    probes = np.column_stack([random_unit(rng, 16) for _ in range(50)])
+    rebuilt = dual_frame(frame).vectors.T @ (frame.vectors @ probes)
+    assert float(np.max(np.linalg.norm(rebuilt - probes, axis=0))) <= 1e-10
+
+    frame = random_frame(rng, 16, 32, 1.0, 1e9, declared=True)
+    assert dual_frame(frame).declared_bounds == pytest.approx((1e-9, 1.0), rel=1e-6)
+    assert proposition1_check(frame, -0.5, 32).passed
 
 
 def test_proposition1_rejects_non_frame():

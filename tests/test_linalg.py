@@ -3,28 +3,27 @@ import math
 import numpy as np
 import pytest
 
-import framecalc.linalg as linalg
 from framecalc import (
-    EigenConvergenceError,
-    jacobi_eigh,
+    eigh,
     operator_norm,
     spectral_apply,
     symmetrize,
 )
+from framecalc.linalg import svd
 
 HALF_MATRIX = np.array([[1.5, 0.5], [0.5, 1.5]])
 THIRDS_MATRIX = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 3.0
 
 
 def test_eigh_2d_reference():
-    decomp = jacobi_eigh(HALF_MATRIX)
+    decomp = eigh(HALF_MATRIX)
     np.testing.assert_allclose(decomp.eigenvalues, [1.0, 2.0], atol=1e-12)
     expected = np.column_stack([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     np.testing.assert_allclose(decomp.eigenvectors, expected, atol=1e-12)
 
 
 def test_eigh_3d_degenerate_pair():
-    decomp = jacobi_eigh(THIRDS_MATRIX)
+    decomp = eigh(THIRDS_MATRIX)
     np.testing.assert_allclose(decomp.eigenvalues, [1.0, 1.0, 2.0], atol=1e-12)
     top = decomp.eigenvectors[:, 2]
     np.testing.assert_allclose(top, np.full(3, 1.0 / math.sqrt(3.0)), atol=1e-12)
@@ -37,13 +36,13 @@ def test_eigh_3d_degenerate_pair():
 
 def test_eigh_identity_any_dim():
     for dim in (1, 3, 6):
-        decomp = jacobi_eigh(np.eye(dim))
+        decomp = eigh(np.eye(dim))
         np.testing.assert_array_equal(decomp.eigenvalues, np.ones(dim))
         np.testing.assert_array_equal(decomp.eigenvectors, np.eye(dim))
 
 
 def test_eigh_zero_matrix():
-    decomp = jacobi_eigh(np.zeros((4, 4)))
+    decomp = eigh(np.zeros((4, 4)))
     np.testing.assert_array_equal(decomp.eigenvalues, np.zeros(4))
 
 
@@ -52,7 +51,7 @@ def test_eigh_random_reconstruction_and_orthonormality():
     for dim in range(2, 9):
         for _ in range(5):
             s = symmetrize(rng.standard_normal((dim, dim)) * rng.uniform(0.1, 10.0))
-            decomp = jacobi_eigh(s)
+            decomp = eigh(s)
             rebuilt = (decomp.eigenvectors * decomp.eigenvalues) @ decomp.eigenvectors.T
             scale = max(1.0, float(np.linalg.norm(s)))
             assert np.linalg.norm(rebuilt - s) <= 1e-10 * scale
@@ -69,7 +68,7 @@ def test_eigh_sign_convention():
     rng = np.random.default_rng(7)
     for _ in range(10):
         s = symmetrize(rng.standard_normal((5, 5)))
-        decomp = jacobi_eigh(s)
+        decomp = eigh(s)
         for k in range(5):
             column = decomp.eigenvectors[:, k]
             lead = int(np.argmax(np.abs(column)))
@@ -79,25 +78,35 @@ def test_eigh_sign_convention():
 def test_eigh_deterministic():
     rng = np.random.default_rng(3)
     s = symmetrize(rng.standard_normal((6, 6)))
-    first = jacobi_eigh(s)
-    second = jacobi_eigh(s)
+    first = eigh(s)
+    second = eigh(s)
     np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
     np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
 
 
 def test_eigh_rejects_asymmetric_and_nonfinite():
     with pytest.raises(ValueError, match="not symmetric"):
-        jacobi_eigh(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
+        eigh(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
     with pytest.raises(ValueError, match="finite"):
-        jacobi_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
-        jacobi_eigh(np.ones((2, 3)))
+        eigh(np.ones((2, 3)))
 
 
-def test_eigh_iteration_cap_reports_residual(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
-    with pytest.raises(EigenConvergenceError, match="off-diagonal residual"):
-        jacobi_eigh(HALF_MATRIX)
+def test_svd_conventions_and_frame_operator_spectrum():
+    rng = np.random.default_rng(31)
+    for count, dim in [(9, 4), (4, 4), (2, 5)]:
+        v = rng.standard_normal((count, dim))
+        factors = svd(v)
+        right = factors.spectrum.eigenvectors
+        np.testing.assert_allclose((factors.left * factors.singular_values) @ right.T, v, atol=1e-12)
+        np.testing.assert_allclose(right.T @ right, np.eye(dim), atol=1e-12)
+        np.testing.assert_allclose(factors.spectrum.eigenvalues, np.linalg.eigvalsh(v.T @ v), atol=1e-12)
+        assert np.all(np.diff(factors.singular_values) >= 0.0)
+        assert np.count_nonzero(factors.singular_values) == min(count, dim)
+        for k in range(dim):
+            assert right[int(np.argmax(np.abs(right[:, k]))), k] >= 0.0
+        assert not factors.left.flags.writeable and not right.flags.writeable
 
 
 def test_spectral_apply_inverse_2d():
