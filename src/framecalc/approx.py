@@ -147,6 +147,19 @@ def bound_satisfied(measured: float, bound: float) -> bool:
     return measured <= bound * (1.0 + BOUND_REL_SLACK) + BOUND_ABS_SLACK
 
 
+def _log(value: float) -> float:
+    """Natural log that maps 0.0 to -inf, so a zero base gives a zero bound."""
+    return math.log(value) if value > 0.0 else -math.inf
+
+
+def _exp(log_value: float) -> float:
+    """exp of a bound summed in logs: inf on overflow, 0.0 on underflow."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def _check_order(order: int) -> int:
     order = int(order)
     if order < 0:
@@ -172,10 +185,11 @@ def neumann_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
 
 
 def neumann_bound(lower: float, upper: float, order: int) -> float:
-    """Worst relative reconstruction error of the order-N Neumann dual."""
+    """Worst relative reconstruction error of the order-N Neumann dual:
+    ((B-A)/(B+A))^(N+1), summed in logs like every bound here."""
     lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
-    return ((upper - lower) / (upper + lower)) ** (order + 1)
+    return _exp((order + 1) * _log((upper - lower) / (upper + lower)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +221,18 @@ def binomial_tight(frame: Frame, lower: float, upper: float, order: int) -> Fram
 def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
     """Truncation and reconstruction bounds for the binomial scheme.
 
-    ``convergent`` is False when B >= 3A, where the bound ratio (B-A)/(2A)
-    reaches one and the estimates no longer shrink with N.
+    With q = (B-A)/(2A): tn = q^(N+1) sqrt((A+B)/(2A)) and, with
+    h = sqrt(B/A) q^(N+1), reconstruction = h (2 + h). The powers are summed
+    in logs, so past B = 3A a high order gives inf instead of raising.
+    ``convergent`` is False when B >= 3A, where the bound ratio q reaches one
+    and the estimates no longer shrink with N.
     """
     lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
-    ratio = (upper - lower) / (2.0 * lower)
-    stretch = math.sqrt(upper / lower)
-    tn = ratio ** (order + 1) * math.sqrt((lower + upper) / (2.0 * lower))
-    reconstruction = stretch * ratio ** (order + 1) * (
-        2.0 + stretch * ratio ** (order + 1)
-    )
-    return BinomialBounds(tn, reconstruction, upper < 3.0 * lower)
+    log_power = (order + 1) * _log((upper - lower) / (2.0 * lower))
+    tn = _exp(log_power + 0.5 * math.log((lower + upper) / (2.0 * lower)))
+    head = _exp(log_power + 0.5 * math.log(upper / lower))
+    return BinomialBounds(tn, head * (2.0 + head), upper < 3.0 * lower)
 
 
 def binomial_remainder_norm(frame: Frame, lower: float, upper: float, order: int) -> float:
@@ -306,17 +320,11 @@ def _exponential_tail(lower: float, upper: float, order: int, ratio_power: float
     regime = log_regime(lower, upper)
     order = _check_order(order)
     radius = (1.0 - regime.contraction) / 2.0 * regime.log_scale
-    if radius == 0.0:
-        return 0.0
-    log_value = (
+    return _exp(
         ratio_power * math.log(upper / lower)
-        + (order + 1) * math.log(radius)
+        + (order + 1) * _log(radius)
         - math.lgamma(order + 2)
     )
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def log_bound(lower: float, upper: float, order: int) -> float:

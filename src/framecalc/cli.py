@@ -6,8 +6,9 @@ table of an approximation scheme as CSV), ``examples`` (regenerate the
 built-in numeric claims), and ``gabor`` (tight-window report as JSON).
 
 Exit codes: 0 on success, 1 on a mathematical failure (not a frame, a bound
-violated, a claim failed), 2 on usage or input errors. Floats in JSON and
-CSV output carry 17 significant digits so they round-trip bit-faithfully.
+violated, a claim failed), 2 on usage or input errors, an arithmetic error
+that the inputs provoke included. Floats in JSON and CSV output carry 17
+significant digits so they round-trip bit-faithfully.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

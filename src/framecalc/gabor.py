@@ -10,7 +10,13 @@ partition identity is what makes the modulated-translate family
 
 Inner products are trapezoidal sums on a uniform grid; with smooth, well
 supported signals the quadrature noise sits far below the 1% acceptance gate
-used by the tightness check.
+used by the tightness check. Each inner product only runs over the
+L ~ 2*pi/(p0*grid_step) samples under its translate's support, so the check
+takes one (2M+1) x L phase matrix and one matrix product against the 2S+1
+support segments: (2M+1)*L*(2S+1) multiply-adds and (2M+1)*L complex phases,
+independent of the grid's half width. Modulation orders past the grid's
+Nyquist frequency (|m|*p0*grid_step > pi) alias onto orders within it and
+are counted again.
 """
 
 from __future__ import annotations
@@ -196,9 +202,23 @@ def weyl_heisenberg_apply(signal, m: int, n: int, params: GaborParams) -> np.nda
 def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> TightnessReport:
     """Compare the truncated coefficient energy with the tight-frame constant.
 
-    ratio = sum_{|m|<=M, |n|<=Nt} |<g_mn, f>|^2 / ||f||^2 with trapezoidal
+    ratio = sum_{|m|<=M, |n|<=S} |<g_mn, f>|^2 / ||f||^2 with trapezoidal
     inner products; target = 2*pi/(p0*q0). ``window_gain`` rescales the
     window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
+
+    Each inner product runs over the L ~ 2*pi/(p0*grid_step) grid samples
+    that cover the support of its translate, and the phase is taken relative
+    to the segment's first sample, a unit-modulus factor that drops out of
+    |c_mn|^2. All 2S+1 segments of window times signal are formed at once
+    (zero where a segment hangs past a grid edge) and every coefficient comes
+    from one product of the (2M+1) x L local phase matrix with them:
+    (2M+1)*L*(2S+1) multiply-adds and (2M+1)*L complex numbers of phases,
+    whatever the grid's half width.
+
+    Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
+    on the grid their phases equal those of an order within it, so their
+    energy is counted again and the ratio overshoots the target.
+
     A warning is attached when the outermost modulation or translation ring
     carries more than ``TAIL_FRACTION`` of the total coefficient energy,
     which signals insufficient truncation or support.
@@ -214,19 +234,29 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     if norm_sq <= 0.0:
         raise ValueError("signal must have positive energy")
 
-    orders = np.arange(-params.mod_order, params.mod_order + 1)
-    phases = np.exp(-1j * params.p0 * np.outer(orders, grid))
+    # Grid index k (x = k*step, |k| <= half) of every sample that the support
+    # (-edge, edge) of translate n can reach, with one sample spare each side.
+    half = len(grid) // 2
+    edge = math.pi / params.p0
+    length = math.ceil(2.0 * edge / step) + 3
+    centers = np.arange(-params.shift_order, params.shift_order + 1) * params.q0
+    starts = np.floor((centers - edge) / step).astype(np.int64) - 1
+    indices = starts[:, None] + np.arange(length)
+    on_grid = np.abs(indices) <= half
+    samples = np.where(on_grid, values[np.clip(indices + half, 0, 2 * half)], 0.0)
+    window = window_gain * window_g(indices * step - centers[:, None], params)
+    segments = window * samples
 
-    total = 0.0
-    tail = 0.0
-    for n in range(-params.shift_order, params.shift_order + 1):
-        window = window_gain * window_g(grid - n * params.q0, params)
-        coefficients = step * (phases @ (window * values))
-        energies = np.abs(coefficients) ** 2
-        total += float(np.sum(energies))
-        tail += float(energies[0] + energies[-1])
-        if abs(n) == params.shift_order:
-            tail += float(np.sum(energies))
+    orders = np.arange(-params.mod_order, params.mod_order + 1)
+    phases = np.exp(-1j * params.p0 * np.outer(orders, np.arange(length) * step))
+    energies = np.abs(step * (phases @ segments.T)) ** 2
+
+    # Outermost rings: both modulation edges of every translate (the one row
+    # twice when M = 0) and every order of the outermost translates (the one
+    # column once when S = 0).
+    outer_columns = [0, -1] if params.shift_order else [0]
+    total = float(np.sum(energies))
+    tail = float(np.sum(energies[[0, -1]]) + np.sum(energies[:, outer_columns]))
 
     ratio = total / norm_sq
     target = params.tight_constant * window_gain**2

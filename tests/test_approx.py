@@ -243,6 +243,21 @@ def test_log_and_zn_bounds_never_raise():
     assert log_bound(1e-150, 1e150, 345) == math.inf
 
 
+def test_neumann_and_binomial_bounds_never_raise():
+    # 4.5^1001 overflows a float; the powers are summed in logs.
+    assert binomial_bounds(1.0, 10.0, 1000) == (math.inf, math.inf, False)
+    assert binomial_bounds(1.0, 2.0, 2000) == (0.0, 0.0, True)
+    assert binomial_bounds(1.0, 3.0, 10**9).reconstruction_bound == pytest.approx(
+        math.sqrt(3.0) * (2.0 + math.sqrt(3.0)), rel=1e-12
+    )
+    assert neumann_bound(1.0, 2.0, 2000) == 0.0
+    assert neumann_bound(1e-150, 1e150, 10**6) == pytest.approx(1.0, rel=1e-12)
+    for order in (0, 170, 345, 10_000):
+        assert neumann_bound(1.0, 1e300, order) >= 0.0
+        bounds = binomial_bounds(1e-150, 1e150, order)
+        assert bounds.tn_bound == bounds.reconstruction_bound == math.inf
+
+
 def test_log_bound_values_and_decay():
     for order in range(5):
         expected = 2.0 * (0.25 * math.log(4.0)) ** (order + 1) / math.factorial(order + 1)

@@ -197,6 +197,17 @@ def test_perturb_bound_violation_exits_one(frame_file, capsys, monkeypatch):
     assert "bound violated" in err
 
 
+def test_leftover_arithmetic_error_exits_two(frame_file, capsys, monkeypatch):
+    def overflowing(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "run_convergence", overflowing)
+    code, out, err = run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_examples_all_pass(capsys):
     code, out, _ = run_cli(capsys, ["examples"])
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from framecalc import (
     weyl_heisenberg_apply,
     window_g,
 )
+from framecalc.gabor import TAIL_FRACTION
 
 
 def test_smooth_nu_boundary_values():
@@ -149,3 +151,69 @@ def test_tightness_rejects_zero_signal_and_bad_shape():
         tightness_check(np.zeros_like(sample_grid(params)), params)
     with pytest.raises(ValueError, match="samples"):
         tightness_check(np.zeros(7), params)
+
+
+def _full_grid_tightness(signal, params, gain=1.0):
+    """The full-grid form of the check: one (2M+1) x G product per translate."""
+    grid = sample_grid(params)
+    values = np.asarray(signal, dtype=complex)
+    orders = np.arange(-params.mod_order, params.mod_order + 1)
+    phases = np.exp(-1j * params.p0 * np.outer(orders, grid))
+    total = tail = 0.0
+    for n in range(-params.shift_order, params.shift_order + 1):
+        window = gain * window_g(grid - n * params.q0, params)
+        energies = np.abs(params.grid_step * (phases @ (window * values))) ** 2
+        total += energies.sum()
+        tail += energies[0] + energies[-1]
+        if abs(n) == params.shift_order:
+            tail += energies.sum()
+    ratio = total / (params.grid_step * np.sum(np.abs(values) ** 2))
+    return ratio, bool(tail > TAIL_FRACTION * total)
+
+
+@pytest.mark.parametrize(
+    "params, probe, gain, warns",
+    [
+        (demo_gabor_params(), "window", 1.0, False),
+        # q0 off the grid
+        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5), "real", 1.0, False),
+        (GaborParams(p0=math.pi, q0=1.2, grid_step=1.2 / 63.5), "complex", 1.0, False),
+        (GaborParams(p0=1.0, q0=4.0, shift_order=0), "window", 1.0, True),
+        (GaborParams(p0=1.0, q0=4.0, shift_order=5), "real", 1.0, False),
+        (GaborParams(p0=1.0, q0=4.0, mod_order=0), "real", 1.0, True),
+        (GaborParams(p0=1.0, q0=4.0, mod_order=1), "window", 1.0, True),
+        # the window hangs past both grid edges
+        (GaborParams(p0=1.0, q0=4.0, grid_halfwidth=2.0), "window", 1.0, True),
+        (GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5, mod_order=3), "complex", 1.0, True),
+        (GaborParams(p0=2.0, q0=2.5, mod_order=30), "real", 0.37, False),
+        (GaborParams(p0=0.5, q0=8.0, mod_order=40), "complex", 1.0, False),
+    ],
+)
+def test_tightness_matches_full_grid_products(params, probe, gain, warns):
+    grid = sample_grid(params)
+    if probe == "window":
+        signal = window_g(grid, params) + 0.1 * np.exp(-(grid**2))
+    else:
+        signals = gabor_probe_signals(params, count=5, seed=17)
+        signal = signals[-1] if probe == "complex" else signals[0]
+        assert np.any(signal.imag) == (probe == "complex")
+    report = tightness_check(signal, params, window_gain=gain)
+    ratio, warning = _full_grid_tightness(signal, params, gain)
+    assert abs(report.ratio - ratio) <= 1e-12 * ratio
+    assert report.truncation_warning == warning == warns
+
+
+def test_tightness_memory_stays_on_the_window_support():
+    # G = 12289 samples, 195 translates, 129 orders: a full-grid phase matrix
+    # alone would take 25 MB.
+    params = GaborParams(p0=1.0, q0=4.0, grid_halfwidth=96 * 4.0)
+    signal = window_g(sample_grid(params), params)
+    assert len(signal) == 12289
+    tracemalloc.start()
+    try:
+        report = tightness_check(signal, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert report.relative_error <= 0.01 and not report.truncation_warning
