@@ -10,136 +10,20 @@ See the demos/ directory for narrative walkthroughs and the ``framecalc``
 command line for file-based workflows.
 """
 
-from .approx import (
-    BinomialBounds,
-    ConvergenceReport,
-    ConvergenceRow,
-    LogRegime,
-    RegimeKind,
-    Scheme,
-    binomial_bounds,
-    binomial_half_coefficients,
-    binomial_remainder_norm,
-    binomial_tight,
-    bound_satisfied,
-    log_bound,
-    log_dual,
-    log_exact_inverse,
-    log_regime,
-    log_remainder_norm,
-    neumann_R,
-    neumann_bound,
-    neumann_dual,
-    run_convergence,
-    write_csv,
-    zn_bound,
-)
-from .frames import (
-    BoundCheckReport,
-    Frame,
-    FrameDiagnostics,
-    NotAFrameError,
-    alpha_frame,
-    analysis,
-    commuting_scale,
-    diagnostics,
-    dual_frame,
-    frame_from_dict,
-    frame_operator,
-    frame_spectrum,
-    frame_to_json,
-    load_frame,
-    optimal_bounds,
-    proposition1_check,
-    reconstruct,
-    synthesis,
-)
-from .gabor import (
-    GaborParams,
-    TightnessReport,
-    sample_grid,
-    smooth_nu,
-    tightness_check,
-    weyl_heisenberg_apply,
-    window_g,
-)
-from .linalg import (
-    EigenDecomposition,
-    eigh,
-    operator_norm,
-    spectral_apply,
-    spectral_function,
-    symmetrize,
-)
-from .reference import (
-    CheckResult,
-    builtin_checks,
-    demo_frame_2d,
-    demo_frame_3d,
-    demo_gabor_params,
-    gabor_probe_signals,
-)
+from . import approx, frames, gabor, linalg, reference
+from .approx import *  # noqa: F403
+from .frames import *  # noqa: F403
+from .gabor import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .reference import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# A name is public exactly when its module lists it.
 __all__ = [
-    "BinomialBounds",
-    "BoundCheckReport",
-    "CheckResult",
-    "ConvergenceReport",
-    "ConvergenceRow",
-    "EigenDecomposition",
-    "Frame",
-    "FrameDiagnostics",
-    "GaborParams",
-    "LogRegime",
-    "NotAFrameError",
-    "RegimeKind",
-    "Scheme",
-    "TightnessReport",
-    "alpha_frame",
-    "analysis",
-    "binomial_bounds",
-    "binomial_half_coefficients",
-    "binomial_remainder_norm",
-    "binomial_tight",
-    "bound_satisfied",
-    "builtin_checks",
-    "commuting_scale",
-    "demo_frame_2d",
-    "demo_frame_3d",
-    "demo_gabor_params",
-    "diagnostics",
-    "dual_frame",
-    "eigh",
-    "frame_from_dict",
-    "frame_operator",
-    "frame_spectrum",
-    "frame_to_json",
-    "gabor_probe_signals",
-    "load_frame",
-    "log_bound",
-    "log_dual",
-    "log_exact_inverse",
-    "log_regime",
-    "log_remainder_norm",
-    "neumann_R",
-    "neumann_bound",
-    "neumann_dual",
-    "operator_norm",
-    "optimal_bounds",
-    "proposition1_check",
-    "reconstruct",
-    "run_convergence",
-    "sample_grid",
-    "smooth_nu",
-    "spectral_apply",
-    "spectral_function",
-    "symmetrize",
-    "synthesis",
-    "tightness_check",
-    "weyl_heisenberg_apply",
-    "window_g",
-    "write_csv",
-    "zn_bound",
+    *linalg.__all__,
+    *frames.__all__,
+    *approx.__all__,
+    *gabor.__all__,
+    *reference.__all__,
 ]

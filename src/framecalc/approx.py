@@ -87,10 +87,11 @@ class RegimeKind(Enum):
 class LogRegime:
     """Dispatch data for the logarithmic scheme.
 
-    ``contraction`` is the derived constant in (0, 1] (log_B A above one,
-    log_A B below one, log_b 2 with b = 2B/A when the bounds straddle one)
-    and ``log_scale`` is the matching natural-log magnitude (ln B, |ln A|,
-    or ln b).
+    The scheme takes logarithms of ``shift * S`` to the base ``base``: shift 1
+    and base B above one, shift 1 and base A below one, shift 2/A and base
+    b = 2B/A when the bounds straddle one. ``contraction`` is the derived
+    constant in (0, 1], the log to that base of the shifted bound nearest one
+    (log_B A, log_A B or log_b 2), and ``log_scale`` is |ln base|.
     """
 
     kind: RegimeKind
@@ -98,6 +99,8 @@ class LogRegime:
     upper: float
     contraction: float
     log_scale: float
+    shift: float
+    base: float
 
 
 class BinomialBounds(NamedTuple):
@@ -252,30 +255,15 @@ def log_regime(lower: float, upper: float) -> LogRegime:
     which is valid there, so the dispatch is total.
     """
     lower, upper = _checked_bounds(lower, upper)
+    # near: the shifted bound nearest one, whose log to the base is the contraction.
     if lower > 1.0:
-        return LogRegime(
-            RegimeKind.BOUNDS_ABOVE_ONE,
-            lower,
-            upper,
-            contraction=math.log(lower) / math.log(upper),
-            log_scale=math.log(upper),
-        )
-    if upper < 1.0:
-        return LogRegime(
-            RegimeKind.BOUNDS_BELOW_ONE,
-            lower,
-            upper,
-            contraction=math.log(upper) / math.log(lower),
-            log_scale=abs(math.log(lower)),
-        )
-    base = 2.0 * upper / lower
-    return LogRegime(
-        RegimeKind.STRADDLING,
-        lower,
-        upper,
-        contraction=math.log(2.0) / math.log(base),
-        log_scale=math.log(base),
-    )
+        kind, shift, base, near = RegimeKind.BOUNDS_ABOVE_ONE, 1.0, upper, lower
+    elif upper < 1.0:
+        kind, shift, base, near = RegimeKind.BOUNDS_BELOW_ONE, 1.0, lower, upper
+    else:
+        kind, shift, base, near = RegimeKind.STRADDLING, 2.0 / lower, 2.0 * upper / lower, 2.0
+    log_base = math.log(base)
+    return LogRegime(kind, lower, upper, math.log(near) / log_base, abs(log_base), shift, base)
 
 
 def _log_generator(lower: float, upper: float) -> Callable[[float], float]:
@@ -283,14 +271,8 @@ def _log_generator(lower: float, upper: float) -> Callable[[float], float]:
     With R_log = I - (2/(1+s)) log_base(shift S) for the regime's base and
     shift, and c = log(base) (1+s)/2, the generator is c - log(shift S)."""
     regime = log_regime(lower, upper)
-    if regime.kind is RegimeKind.BOUNDS_ABOVE_ONE:
-        shift, base = 1.0, upper
-    elif regime.kind is RegimeKind.BOUNDS_BELOW_ONE:
-        shift, base = 1.0, lower
-    else:
-        shift, base = 2.0 / lower, 2.0 * upper / lower
-    prefactor = math.log(base) * (1.0 + regime.contraction) / 2.0
-    return lambda lam: prefactor - math.log(shift * lam)
+    prefactor = math.log(regime.base) * (1.0 + regime.contraction) / 2.0
+    return lambda lam: prefactor - math.log(regime.shift * lam)
 
 
 def log_exact_inverse(frame: Frame, lower: float, upper: float) -> np.ndarray:
@@ -349,12 +331,39 @@ def log_remainder_norm(frame: Frame, lower: float, upper: float, order: int) -> 
 # ---------------------------------------------------------------------------
 
 
-# Ratio t_k / t_(k-1) of consecutive series coefficients: geometric, (-1)^k C(-1/2, k),
-# and 1/k! for the exponential.
-_STEP_WEIGHT = {
-    Scheme.NEUMANN: lambda k: 1.0,
-    Scheme.BINOMIAL_HALF: lambda k: (k - 0.5) / k,
-    Scheme.LOGARITHMIC: lambda k: 1.0 / k,
+def _log_operator(frame: Frame, lower: float, upper: float) -> np.ndarray:
+    """The generator c R_log as a matrix, read from the frame's spectrum."""
+    return spectral_function(frame_spectrum(frame), _log_generator(lower, upper))
+
+
+class _Rule(NamedTuple):
+    """Everything that sets a scheme apart. Its series sums t_k = t_(k-1) @ op
+    * weight(k) with op = operator(frame, A, B), and scale * series
+    approximates S^power phi_i, with reconstruction error at most bound(A, B, N)."""
+
+    operator: Callable[[Frame, float, float], np.ndarray]
+    weight: Callable[[int], float]
+    scale: Callable[[float, float], float]
+    bound: Callable[[float, float, int], float]
+    power: float
+
+
+# Weights are the ratios of consecutive series coefficients: geometric,
+# (-1)^k C(-1/2, k), and 1/k! for the exponential.
+_RULES = {
+    Scheme.NEUMANN: _Rule(
+        neumann_R, lambda k: 1.0, lambda a, b: 2.0 / (a + b), neumann_bound, -1.0
+    ),
+    Scheme.BINOMIAL_HALF: _Rule(
+        neumann_R,
+        lambda k: (k - 0.5) / k,
+        lambda a, b: math.sqrt(2.0 / (a + b)),
+        lambda a, b, n: binomial_bounds(a, b, n).reconstruction_bound,
+        -0.5,
+    ),
+    Scheme.LOGARITHMIC: _Rule(
+        _log_operator, lambda k: 1.0 / k, lambda a, b: 1.0 / math.sqrt(a * b), log_bound, -1.0
+    ),
 }
 
 
@@ -362,48 +371,40 @@ def _series(
     frame: Frame, scheme: Scheme, lower: float, upper: float, start: np.ndarray, order: int
 ) -> Iterator[np.ndarray]:
     """Yield the partial sums t_0 + ... + t_N for N = 0..order, where t_0 = start
-    and t_k = t_(k-1) @ op * weight(k), with op = R (Neumann, BinomialHalf)
-    or the generator c R_log (Logarithmic); one matrix product per order."""
-    if scheme is Scheme.LOGARITHMIC:
-        op = spectral_function(frame_spectrum(frame), _log_generator(lower, upper))
-    else:
-        op = neumann_R(frame, lower, upper)
-    weight = _STEP_WEIGHT[scheme]
+    and t_k = t_(k-1) @ op * weight(k); one matrix product per order."""
+    rule = _RULES[scheme]
+    op = rule.operator(frame, lower, upper)
     term = acc = start
     yield acc
     for k in range(1, order + 1):
-        term = (term @ op) * weight(k)
+        term = (term @ op) * rule.weight(k)
         acc = acc + term
         yield acc
 
 
-def _scale(scheme: Scheme, lower: float, upper: float) -> float:
-    """Factor turning a scheme's series into its approximate family."""
-    if scheme is Scheme.NEUMANN:
-        return 2.0 / (lower + upper)
-    if scheme is Scheme.BINOMIAL_HALF:
-        return math.sqrt(2.0 / (lower + upper))
-    return 1.0 / math.sqrt(lower * upper)
+def _partial_sum(
+    frame: Frame, scheme: Scheme, lower: float, upper: float, start: np.ndarray, order: int
+) -> tuple[np.ndarray, float]:
+    """The order-N partial sum of a scheme's series from ``start``, and the
+    scheme's scale, after checking the order and the bounds."""
+    order = _check_order(order)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
+    for acc in _series(frame, scheme, lower, upper, start, order):
+        pass
+    return acc, _RULES[scheme].scale(lower, upper)
 
 
 def _family(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> Frame:
     """The scheme's order-N approximate family (dual, or tight for BinomialHalf)."""
-    order = _check_order(order)
-    lower, upper = _checked_frame_bounds(frame, lower, upper)
-    for acc in _series(frame, scheme, lower, upper, frame.vectors, order):
-        pass
-    return Frame(frame.dim, _scale(scheme, lower, upper) * acc)
+    acc, scale = _partial_sum(frame, scheme, lower, upper, frame.vectors, order)
+    return Frame(frame.dim, scale * acc)
 
 
 def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> float:
-    """Spectral norm of the operator a scheme's series sums to, S^p / scale with
-    p = -1/2 (BinomialHalf) or -1, minus its order-N truncation on the identity."""
-    order = _check_order(order)
-    lower, upper = _checked_frame_bounds(frame, lower, upper)
-    for acc in _series(frame, scheme, lower, upper, np.eye(frame.dim), order):
-        pass
-    power = -0.5 if scheme is Scheme.BINOMIAL_HALF else -1.0
-    scale = _scale(scheme, lower, upper)
+    """Spectral norm of the operator a scheme's series sums to, S^power / scale,
+    minus its order-N truncation on the identity."""
+    acc, scale = _partial_sum(frame, scheme, lower, upper, np.eye(frame.dim), order)
+    power = _RULES[scheme].power
     exact = spectral_function(frame_spectrum(frame), lambda lam: lam**power / scale)
     return operator_norm(symmetrize(exact - acc))
 
@@ -426,6 +427,7 @@ def run_convergence(
     where its error bound does not converge.
     """
     scheme = Scheme(scheme)
+    rule = _RULES[scheme]
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     n_max = _check_order(n_max)
     if samples < 0:
@@ -439,25 +441,14 @@ def run_convergence(
     probes = _probes(frame, samples, seed)
     probe_norms = np.linalg.norm(probes, axis=0)
     exact_coeffs = frame.vectors @ probes
-    scale = _scale(scheme, lower, upper)
+    scale = rule.scale(lower, upper)
     rows = []
     for order, acc in enumerate(_series(frame, scheme, lower, upper, frame.vectors, n_max)):
         family = scale * acc
-
-        if scheme is Scheme.BINOMIAL_HALF:
-            reconstruction = family.T @ (family @ probes)
-        else:
-            reconstruction = family.T @ exact_coeffs
-        errors = np.linalg.norm(reconstruction - probes, axis=0) / probe_norms
-        measured = float(np.max(errors))
-
-        if scheme is Scheme.NEUMANN:
-            bound = neumann_bound(lower, upper, order)
-        elif scheme is Scheme.BINOMIAL_HALF:
-            bound = binomial_bounds(lower, upper, order).reconstruction_bound
-        else:
-            bound = log_bound(lower, upper, order)
-        rows.append(ConvergenceRow(order, measured, bound))
+        # The tight family S^(-1/2) phi_i is its own partner; a dual pairs with the frame.
+        coeffs = family @ probes if rule.power == -0.5 else exact_coeffs
+        errors = np.linalg.norm(family.T @ coeffs - probes, axis=0) / probe_norms
+        rows.append(ConvergenceRow(order, float(np.max(errors)), rule.bound(lower, upper, order)))
 
     return ConvergenceReport(
         scheme=scheme,

@@ -6,9 +6,10 @@ table of an approximation scheme as CSV), ``examples`` (regenerate the
 built-in numeric claims), and ``gabor`` (tight-window report as JSON).
 
 Exit codes: 0 on success, 1 on a mathematical failure (not a frame, a bound
-violated, a claim failed), 2 on usage or input errors, an arithmetic error
-that the inputs provoke included. Floats in JSON and CSV output carry 17
-significant digits so they round-trip bit-faithfully.
+violated, a claim failed, a window outside the 1% tightness gate), 2 on
+usage or input errors, an arithmetic error that the inputs provoke included.
+Floats in JSON and CSV output carry 17 significant digits so they round-trip
+bit-faithfully.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .approx import Scheme, run_convergence, write_csv
 from .frames import (
     NotAFrameError,
     _format_float,
+    _json_object,
     alpha_frame,
     diagnostics,
     frame_spectrum,
@@ -29,7 +31,7 @@ from .frames import (
     load_frame,
     optimal_bounds,
 )
-from .gabor import GaborParams, sample_grid, tightness_check, window_g
+from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, window_g
 from .reference import builtin_checks
 
 __all__ = ["main"]
@@ -39,25 +41,6 @@ SCHEMES = {
     "binomialhalf": Scheme.BINOMIAL_HALF,
     "logarithmic": Scheme.LOGARITHMIC,
 }
-
-
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    return json.dumps(value)
-
-
-def _print_json(pairs, stream) -> None:
-    body = ",\n".join(f'  "{key}": {_json_value(value)}' for key, value in pairs)
-    stream.write("{\n" + body + "\n}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dual = sub.add_parser("dual", help="emit the canonical dual frame (alpha = -1)")
     dual.add_argument("frame", help="path to a frame JSON file")
     dual.add_argument("--out", help="output path (default: stdout)")
+    dual.set_defaults(alpha=-1.0)
 
     perturb = sub.add_parser("perturb", help="convergence table for a scheme, as CSV")
     perturb.add_argument("frame", help="path to a frame JSON file")
@@ -111,20 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     frame = load_frame(args.frame)
     report = diagnostics(frame)
-    _print_json(
-        [
-            ("dim", frame.dim),
-            ("num_vectors", frame.count),
-            ("lambda_min", report.lambda_min),
-            ("lambda_max", report.lambda_max),
-            ("optimal_bounds", [report.lambda_min, report.lambda_max]),
-            ("is_frame", report.is_frame),
-            ("kernel_trivial", report.kernel_trivial),
-            ("inverse_norm", report.inverse_norm),
-            ("eigenvalues", list(frame_spectrum(frame).eigenvalues)),
-        ],
-        sys.stdout,
-    )
+    pairs = [
+        ("dim", frame.dim),
+        ("num_vectors", frame.count),
+        ("lambda_min", report.lambda_min),
+        ("lambda_max", report.lambda_max),
+        ("optimal_bounds", [report.lambda_min, report.lambda_max]),
+        ("is_frame", report.is_frame),
+        ("kernel_trivial", report.kernel_trivial),
+        ("inverse_norm", report.inverse_norm),
+        ("eigenvalues", frame_spectrum(frame).eigenvalues.tolist()),
+    ]
+    sys.stdout.write(_json_object(pairs))
     return 0 if report.is_frame else 1
 
 
@@ -136,9 +118,9 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_alpha(args, exponent: float) -> int:
+def _cmd_alpha(args) -> int:
     frame = load_frame(args.frame)
-    _emit(frame_to_json(alpha_frame(frame, exponent)), args.out)
+    _emit(frame_to_json(alpha_frame(frame, args.alpha)), args.out)
     return 0
 
 
@@ -171,7 +153,7 @@ def _cmd_perturb(args) -> int:
     return 1 if violations else 0
 
 
-def _cmd_examples() -> int:
+def _cmd_examples(args) -> int:
     results = builtin_checks()
     width = max(len(result.name) for result in results)
     for result in results:
@@ -192,35 +174,36 @@ def _cmd_gabor(args) -> int:
     )
     probe = window_g(sample_grid(params), params)
     report = tightness_check(probe, params)
-    _print_json(
-        [
-            ("ratio", report.ratio),
-            ("target", report.target),
-            ("relative_error", report.relative_error),
-            ("truncation_warning", report.truncation_warning),
-        ],
-        sys.stdout,
-    )
-    return 0
+    pairs = [
+        ("ratio", report.ratio),
+        ("target", report.target),
+        ("relative_error", report.relative_error),
+        ("truncation_warning", report.truncation_warning),
+    ]
+    sys.stdout.write(_json_object(pairs))
+    if not report.passed:
+        print(
+            f"tightness failed: relative error {_format_float(report.relative_error)} "
+            f"(tol {TIGHTNESS_RTOL:g}), truncation warning {report.truncation_warning}",
+            file=sys.stderr,
+        )
+    return 0 if report.passed else 1
+
+
+COMMANDS = {
+    "analyze": _cmd_analyze,
+    "alpha": _cmd_alpha,
+    "dual": _cmd_alpha,
+    "perturb": _cmd_perturb,
+    "examples": _cmd_examples,
+    "gabor": _cmd_gabor,
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "alpha":
-            return _cmd_alpha(args, args.alpha)
-        if args.command == "dual":
-            return _cmd_alpha(args, -1.0)
-        if args.command == "perturb":
-            return _cmd_perturb(args)
-        if args.command == "examples":
-            return _cmd_examples()
-        if args.command == "gabor":
-            return _cmd_gabor(args)
-        parser.error(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except NotAFrameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -230,7 +213,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

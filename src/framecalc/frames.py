@@ -298,7 +298,7 @@ def commuting_scale(frame: Frame, scale_op) -> Frame:
     scale = np.asarray(scale_op, dtype=float)
     lam_min = float(decomp.eigenvalues[0])
     lam_max = float(decomp.eigenvalues[-1])
-    if lam_min <= FRAME_RANK_TOLERANCE * max(1.0, abs(lam_max)):
+    if not _is_frame_spectrum(lam_min, lam_max):
         raise ValueError("scaling operator must be positive definite")
     operator = frame_operator(frame)
     commutator = scale @ operator - operator @ scale
@@ -369,13 +369,24 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+    if isinstance(value, float):
+        return _format_float(value)
+    return json.dumps(value)
+
+
+def _json_object(pairs) -> str:
+    """A JSON object with one ``key: value`` pair per line; floats carry 17
+    significant digits and lists stay on their key's line."""
+    body = ",\n".join(f'  "{key}": {_json_value(value)}' for key, value in pairs)
+    return "{\n" + body + "\n}\n"
+
+
 def frame_to_json(frame: Frame) -> str:
     """Serialize a frame to the JSON file format (17 significant digits)."""
-    rows = ",\n    ".join(
-        "[" + ", ".join(_format_float(x) for x in row) + "]" for row in frame.vectors
-    )
-    parts = [f'  "dim": {frame.dim}', f'  "vectors": [\n    {rows}\n  ]']
+    pairs = [("dim", frame.dim), ("vectors", frame.vectors.tolist())]
     if frame.declared_bounds is not None:
-        lower, upper = frame.declared_bounds
-        parts.append(f'  "bounds": [{_format_float(lower)}, {_format_float(upper)}]')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+        pairs.append(("bounds", frame.declared_bounds))
+    return _json_object(pairs)

@@ -10,11 +10,11 @@ partition identity is what makes the modulated-translate family
 
 Inner products are trapezoidal sums on a uniform grid; with smooth, well
 supported signals the quadrature noise sits far below the 1% acceptance gate
-used by the tightness check. Each inner product only runs over the
-L ~ 2*pi/(p0*grid_step) samples under its translate's support, so the check
-takes one (2M+1) x L phase matrix and one matrix product against the 2S+1
-support segments: (2M+1)*L*(2S+1) multiply-adds and (2M+1)*L complex phases,
-independent of the grid's half width. Modulation orders past the grid's
+(``TIGHTNESS_RTOL``) of the tightness check. Each inner product only runs
+over the L ~ 2*pi/(p0*grid_step) samples under its translate's support, so
+the check takes one (2M+1) x L phase matrix and one matrix product against
+the 2S+1 support segments: (2M+1)*L*(2S+1) multiply-adds and (2M+1)*L
+complex phases, independent of the grid's half width. Modulation orders past the grid's
 Nyquist frequency (|m|*p0*grid_step > pi) alias onto orders within it and
 are counted again.
 """
@@ -39,6 +39,10 @@ __all__ = [
 # Fraction of total coefficient energy allowed in the outermost modulation
 # and translation rings before a truncation warning is raised.
 TAIL_FRACTION = 1e-6
+
+# Largest relative error of the coefficient energy against the frame constant
+# that the tightness check accepts.
+TIGHTNESS_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,11 @@ class TightnessReport:
     target: float
     relative_error: float
     truncation_warning: bool
+
+    @property
+    def passed(self) -> bool:
+        """Within ``TIGHTNESS_RTOL`` of the target, with no truncation warning."""
+        return self.relative_error <= TIGHTNESS_RTOL and not self.truncation_warning
 
 
 def sample_grid(params: GaborParams) -> np.ndarray:

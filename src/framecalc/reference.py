@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, alpha_frame, analysis, frame_operator, frame_spectrum, proposition1_check
-from .gabor import GaborParams, sample_grid, tightness_check, window_g
+from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, window_g
 
 __all__ = [
     "CheckResult",
@@ -136,7 +136,7 @@ class CheckResult:
     detail: str
 
 
-def _vectors_close(found: np.ndarray, expected: np.ndarray, tol: float) -> float:
+def _max_deviation(found: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(found - expected)))
 
 
@@ -150,19 +150,19 @@ def builtin_checks(seed: int = 20240801) -> list[CheckResult]:
         )
 
     frame2 = demo_frame_2d()
-    record("2d-frame-operator", _vectors_close(frame_operator(frame2), OPERATOR_2D, 0), 1e-10)
+    record("2d-frame-operator", _max_deviation(frame_operator(frame2), OPERATOR_2D), 1e-10)
 
     decomp = frame_spectrum(frame2)
-    eig_dev = _vectors_close(decomp.eigenvalues, np.array([1.0, 2.0]), 0)
+    eig_dev = _max_deviation(decomp.eigenvalues, np.array([1.0, 2.0]))
     expected_vectors = np.array([[1.0, 1.0], [-1.0, 1.0]]) / SQRT2
-    vec_dev = _vectors_close(decomp.eigenvectors, expected_vectors, 0)
+    vec_dev = _max_deviation(decomp.eigenvectors, expected_vectors)
     record("2d-eigenpairs", max(eig_dev, vec_dev), 1e-10)
 
     for alpha in (-1.0, -0.5, -1.0 / 3.0, -2.0 / 3.0):
         found = alpha_frame(frame2, alpha).vectors
         record(
             f"2d-power-family-alpha={alpha:g}",
-            _vectors_close(found, expected_power_family_2d(alpha), 0),
+            _max_deviation(found, expected_power_family_2d(alpha)),
             1e-10,
         )
 
@@ -190,18 +190,18 @@ def builtin_checks(seed: int = 20240801) -> list[CheckResult]:
         )
 
     frame3 = demo_frame_3d()
-    record("3d-frame-operator", _vectors_close(frame_operator(frame3), OPERATOR_3D, 0), 1e-9)
+    record("3d-frame-operator", _max_deviation(frame_operator(frame3), OPERATOR_3D), 1e-9)
 
     decomp3 = frame_spectrum(frame3)
-    eig_dev = _vectors_close(decomp3.eigenvalues, np.array([1.0, 1.0, 2.0]), 0)
+    eig_dev = _max_deviation(decomp3.eigenvalues, np.array([1.0, 1.0, 2.0]))
     top = decomp3.eigenvectors[:, 2]
-    top_dev = _vectors_close(top, np.full(3, 1.0 / math.sqrt(3.0)), 0)
+    top_dev = _max_deviation(top, np.full(3, 1.0 / math.sqrt(3.0)))
     record("3d-eigenvalues", max(eig_dev, top_dev), 1e-9)
 
     tight3 = alpha_frame(frame3, -0.5)
     record(
         "3d-tight-family",
-        _vectors_close(tight3.vectors, expected_tight_family_3d(), 0),
+        _max_deviation(tight3.vectors, expected_tight_family_3d()),
         1e-9,
     )
 
@@ -229,17 +229,13 @@ def builtin_checks(seed: int = 20240801) -> list[CheckResult]:
     partition_dev = float(np.max(np.abs(partition - 1.0 / params.q0)))
     record("window-partition-identity", partition_dev, 1e-10 / params.q0)
 
-    worst_ratio_err = 0.0
-    warned = False
-    for signal in gabor_probe_signals(params, count=5, seed=seed):
-        report = tightness_check(signal, params)
-        worst_ratio_err = max(worst_ratio_err, report.relative_error)
-        warned = warned or report.truncation_warning
+    reports = [tightness_check(signal, params) for signal in gabor_probe_signals(params, seed=seed)]
+    worst_ratio_err = max(report.relative_error for report in reports)
     results.append(
         CheckResult(
             "window-tightness",
-            worst_ratio_err <= 0.01 and not warned,
-            f"worst relative error {worst_ratio_err:.3e} (tol 1e-02)",
+            all(report.passed for report in reports),
+            f"worst relative error {worst_ratio_err:.3e} (tol {TIGHTNESS_RTOL:.0e})",
         )
     )
 

@@ -171,16 +171,19 @@ def test_log_regime_classification():
     assert regime.kind is RegimeKind.BOUNDS_ABOVE_ONE
     assert regime.contraction == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert regime.log_scale == pytest.approx(math.log(8.0), rel=1e-12)
+    assert (regime.shift, regime.base) == (1.0, 8.0)
 
     regime = log_regime(1.0 / 8.0, 0.5)
     assert regime.kind is RegimeKind.BOUNDS_BELOW_ONE
     assert regime.contraction == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert regime.log_scale == pytest.approx(abs(math.log(1.0 / 8.0)), rel=1e-12)
+    assert (regime.shift, regime.base) == (1.0, 1.0 / 8.0)
 
     regime = log_regime(1.0, 2.0)
     assert regime.kind is RegimeKind.STRADDLING
     assert regime.contraction == pytest.approx(0.5, rel=1e-12)
     assert regime.log_scale == pytest.approx(math.log(4.0), rel=1e-12)
+    assert (regime.shift, regime.base) == (2.0, 4.0)
 
     # Boundary values route to the straddling construction.
     assert log_regime(1.0, 1.0).kind is RegimeKind.STRADDLING

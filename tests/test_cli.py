@@ -149,7 +149,8 @@ def test_perturb_writes_reference_csv(frame_file, tmp_path, capsys):
         ],
     )
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 9
     for n, row in enumerate(rows):
         assert row["scheme"] == "Neumann"
@@ -252,6 +253,17 @@ def test_gabor_defaults(capsys):
     assert report["target"] == pytest.approx(2.0 * math.pi / 4.0, rel=1e-15)
     assert report["relative_error"] <= 0.01
     assert report["truncation_warning"] is False
+
+
+def test_gabor_failed_tightness_exits_one(capsys):
+    # A grid of half width 3 is narrower than the window's support (pi): the
+    # report is printed as usual, and the failed claim is the exit code plus
+    # one stderr line.
+    code, out, err = run_cli(capsys, ["gabor", "--M", "200", "--halfwidth", "3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["relative_error"] > 0.01 and report["truncation_warning"] is True
+    assert err.startswith("tightness failed: ") and err.count("\n") == 1
 
 
 def test_gabor_invalid_params_exit_two(capsys):

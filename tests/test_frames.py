@@ -476,6 +476,17 @@ def test_frame_json_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.vectors, frame.vectors)
 
 
+def test_frame_json_layout():
+    # One key per line, each vector list inline, floats with 17 digits.
+    assert frame_to_json(demo_frame_2d()) == (
+        "{\n"
+        '  "dim": 2,\n'
+        '  "vectors": [[1, 0], [0, 1], [0.70710678118654746, 0.70710678118654746]],\n'
+        '  "bounds": [1, 2]\n'
+        "}\n"
+    )
+
+
 def test_frame_json_bounds_optional():
     frame = Frame(2, np.eye(2))
     text = frame_to_json(frame)

@@ -14,7 +14,7 @@ from framecalc import (
     weyl_heisenberg_apply,
     window_g,
 )
-from framecalc.gabor import TAIL_FRACTION
+from framecalc.gabor import TAIL_FRACTION, TIGHTNESS_RTOL, TightnessReport
 
 
 def test_smooth_nu_boundary_values():
@@ -134,6 +134,14 @@ def test_tightness_truncation_warning_for_tiny_mod_order():
     report = tightness_check(narrow, params)
     assert report.truncation_warning
     assert report.relative_error > 0.01
+
+
+def test_tightness_report_passed_gate():
+    assert TightnessReport(1.0, 1.0, TIGHTNESS_RTOL, False).passed
+    assert not TightnessReport(1.0, 1.0, 1.5 * TIGHTNESS_RTOL, False).passed
+    assert not TightnessReport(1.0, 1.0, 0.0, True).passed
+    params = demo_gabor_params()
+    assert tightness_check(window_g(sample_grid(params), params), params).passed
 
 
 def test_tightness_negative_control_quadrature_floor():
