@@ -8,9 +8,10 @@ root) of the frame operator S given declared bounds A <= B:
   is at most ((B-A)/(B+A))^(N+1).
 * BinomialHalf: the tight-family vectors come from the binomial series of
   (I - R)^(-1/2); the error bound converges only when B < 3A.
-* Logarithmic: S^(-1) = exp(c R_log)/sqrt(A B) for a base-dependent
-  logarithmic remainder R_log; truncating the exponential series gives
-  factorially convergent bounds, which is what makes large B/A tractable.
+* Logarithmic: S^(-1) = exp(c R_log)/sqrt(A B) with generator
+  c R_log = ln(sqrt(A B) S^(-1)), whose norm is at most ln(B/A)/2; truncating
+  the exponential series gives factorially convergent bounds, which is what
+  makes large B/A tractable.
 
 Every scheme is paired with its analytical bound and with a convergence
 harness that measures the worst reconstruction error over seeded probes and
@@ -43,8 +44,6 @@ __all__ = [
     "BinomialBounds",
     "ConvergenceReport",
     "ConvergenceRow",
-    "LogRegime",
-    "RegimeKind",
     "Scheme",
     "binomial_bounds",
     "binomial_half_coefficients",
@@ -54,7 +53,6 @@ __all__ = [
     "log_bound",
     "log_dual",
     "log_exact_inverse",
-    "log_regime",
     "log_remainder_norm",
     "neumann_R",
     "neumann_bound",
@@ -75,32 +73,6 @@ class Scheme(Enum):
     NEUMANN = "Neumann"
     BINOMIAL_HALF = "BinomialHalf"
     LOGARITHMIC = "Logarithmic"
-
-
-class RegimeKind(Enum):
-    BOUNDS_ABOVE_ONE = "BoundsAboveOne"
-    BOUNDS_BELOW_ONE = "BoundsBelowOne"
-    STRADDLING = "Straddling"
-
-
-@dataclass(frozen=True)
-class LogRegime:
-    """Dispatch data for the logarithmic scheme.
-
-    The scheme takes logarithms of ``shift * S`` to the base ``base``: shift 1
-    and base B above one, shift 1 and base A below one, shift 2/A and base
-    b = 2B/A when the bounds straddle one. ``contraction`` is the derived
-    constant in (0, 1], the log to that base of the shifted bound nearest one
-    (log_B A, log_A B or log_b 2), and ``log_scale`` is |ln base|.
-    """
-
-    kind: RegimeKind
-    lower: float
-    upper: float
-    contraction: float
-    log_scale: float
-    shift: float
-    base: float
 
 
 class BinomialBounds(NamedTuple):
@@ -248,43 +220,33 @@ def binomial_remainder_norm(frame: Frame, lower: float, upper: float, order: int
 # ---------------------------------------------------------------------------
 
 
-def log_regime(lower: float, upper: float) -> LogRegime:
-    """Classify declared bounds for the logarithmic scheme.
-
-    Boundary values (A = 1 or B = 1) route to the straddling construction,
-    which is valid there, so the dispatch is total.
-    """
-    lower, upper = _checked_bounds(lower, upper)
-    # near: the shifted bound nearest one, whose log to the base is the contraction.
-    if lower > 1.0:
-        kind, shift, base, near = RegimeKind.BOUNDS_ABOVE_ONE, 1.0, upper, lower
-    elif upper < 1.0:
-        kind, shift, base, near = RegimeKind.BOUNDS_BELOW_ONE, 1.0, lower, upper
-    else:
-        kind, shift, base, near = RegimeKind.STRADDLING, 2.0 / lower, 2.0 * upper / lower, 2.0
-    log_base = math.log(base)
-    return LogRegime(kind, lower, upper, math.log(near) / log_base, abs(log_base), shift, base)
-
-
 def _log_generator(lower: float, upper: float) -> Callable[[float], float]:
-    """The generator c R_log as a scalar function of S: S^(-1) = exp(c R_log)/sqrt(A B).
-    With R_log = I - (2/(1+s)) log_base(shift S) for the regime's base and
-    shift, and c = log(base) (1+s)/2, the generator is c - log(shift S)."""
-    regime = log_regime(lower, upper)
-    prefactor = math.log(regime.base) * (1.0 + regime.contraction) / 2.0
-    return lambda lam: prefactor - math.log(regime.shift * lam)
+    """The generator c R_log = ln(sqrt(A B)/S) as a scalar function of S, so that
+    S^(-1) = exp(c R_log)/sqrt(A B). The paper builds R_log with a base and a
+    shift for bounds above, below or straddling one; each construction gives
+    this operator. The logs are taken of A/lam and B/lam, so A B is never formed."""
+    return lambda lam: 0.5 * (math.log(lower / lam) + math.log(upper / lam))
+
+
+def _inverse_geometric_mean(lower: float, upper: float) -> float:
+    """1/sqrt(A B), with A B split into a mantissa product and an exact power of
+    two so that it neither overflows nor underflows. Bit for bit equal to
+    1/math.sqrt(A * B) whenever A * B is a normal float."""
+    (m_a, e_a), (m_b, e_b) = math.frexp(lower), math.frexp(upper)
+    half, odd = divmod(e_a + e_b, 2)
+    return math.ldexp(1.0 / math.sqrt(math.ldexp(m_a * m_b, odd)), -half)
 
 
 def log_exact_inverse(frame: Frame, lower: float, upper: float) -> np.ndarray:
     """Inverse frame operator written as exp(c R_log)/sqrt(A B).
 
     Exponential and logarithm are evaluated exactly through the spectrum, so
-    the result matches the spectral inverse of S in every regime.
+    the result matches the spectral inverse of S at any scale of the bounds.
     """
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     generator = _log_generator(lower, upper)
     exponential = spectral_function(frame_spectrum(frame), lambda lam: math.exp(generator(lam)))
-    return exponential / math.sqrt(lower * upper)
+    return exponential * _inverse_geometric_mean(lower, upper)
 
 
 def log_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
@@ -297,27 +259,26 @@ def log_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
 
 
 def _exponential_tail(lower: float, upper: float, order: int, ratio_power: float) -> float:
-    """(B/A)^ratio_power * ((1-s) L / 2)^(N+1) / (N+1)!, summed in logs so that
-    it underflows to 0.0 and overflows to inf instead of raising."""
-    regime = log_regime(lower, upper)
+    """(B/A)^ratio_power * r^(N+1) / (N+1)! with r = ln(B/A)/2, the norm bound of
+    the generator, summed in logs so that it underflows to 0.0 and overflows
+    to inf instead of raising."""
+    lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
-    radius = (1.0 - regime.contraction) / 2.0 * regime.log_scale
+    log_ratio = math.log(upper / lower)
     return _exp(
-        ratio_power * math.log(upper / lower)
-        + (order + 1) * _log(radius)
-        - math.lgamma(order + 2)
+        ratio_power * log_ratio + (order + 1) * _log(0.5 * log_ratio) - math.lgamma(order + 2)
     )
 
 
 def log_bound(lower: float, upper: float, order: int) -> float:
     """Worst relative reconstruction error of the order-N logarithmic dual:
-    (B/A) * ((1-s) L / 2)^(N+1) / (N+1)! with regime constants (s, L)."""
+    (B/A) * (ln(B/A)/2)^(N+1) / (N+1)!."""
     return _exponential_tail(lower, upper, order, 1.0)
 
 
 def zn_bound(lower: float, upper: float, order: int) -> float:
     """Bound on the exponential-series truncation operator:
-    sqrt(B/A) * ((1-s) L / 2)^(N+1) / (N+1)!."""
+    sqrt(B/A) * (ln(B/A)/2)^(N+1) / (N+1)!."""
     return _exponential_tail(lower, upper, order, 0.5)
 
 
@@ -362,7 +323,7 @@ _RULES = {
         -0.5,
     ),
     Scheme.LOGARITHMIC: _Rule(
-        _log_operator, lambda k: 1.0 / k, lambda a, b: 1.0 / math.sqrt(a * b), log_bound, -1.0
+        _log_operator, lambda k: 1.0 / k, _inverse_geometric_mean, log_bound, -1.0
     ),
 }
 

@@ -36,11 +36,7 @@ from .reference import builtin_checks
 
 __all__ = ["main"]
 
-SCHEMES = {
-    "neumann": Scheme.NEUMANN,
-    "binomialhalf": Scheme.BINOMIAL_HALF,
-    "logarithmic": Scheme.LOGARITHMIC,
-}
+SCHEMES = {scheme.value.lower(): scheme for scheme in Scheme}
 
 
 def _build_parser() -> argparse.ArgumentParser:

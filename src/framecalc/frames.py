@@ -329,6 +329,11 @@ def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def frame_from_dict(data) -> Frame:
     """Build a frame from a parsed JSON object, validating the schema."""
     if not isinstance(data, dict):
@@ -346,13 +351,13 @@ def frame_from_dict(data) -> Frame:
     if not isinstance(vectors, list) or not vectors:
         raise ValueError("'vectors' must be a non-empty list of vectors")
     for row in vectors:
-        if not isinstance(row, list) or len(row) != dim:
+        if not isinstance(row, list) or len(row) != dim or not all(map(_is_number, row)):
             raise ValueError(f"every vector must be a list of {dim} numbers")
     bounds = None
     if "bounds" in data and data["bounds"] is not None:
         raw = data["bounds"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ValueError("'bounds' must be a two-element list [A, B]")
+        if not isinstance(raw, list) or len(raw) != 2 or not all(map(_is_number, raw)):
+            raise ValueError("'bounds' must be a two-element list of numbers [A, B]")
         bounds = (float(raw[0]), float(raw[1]))
     return Frame(dim, np.array(vectors, dtype=float), bounds)
 

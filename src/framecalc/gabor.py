@@ -135,20 +135,15 @@ def smooth_nu(x):
     """C-infinity ramp: 0 for x <= 0, 1 for x >= 1, monotone in between.
 
     Uses the bump quotient h(x) / (h(x) + h(1-x)) with h(t) = exp(-1/t) for
-    t > 0 and 0 otherwise; nu(1/2) = 1/2 by symmetry.
+    t > 0 and 0 otherwise; nu(1/2) = 1/2 by symmetry. The quotient is exactly
+    0 for x <= 0 and exactly 1 for x >= 1, where the other bump is at least
+    e^-1, so it needs no case split.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     rising = _bump(arr)
-    falling = _bump(1.0 - arr)
-    out = np.empty_like(arr)
-    low = arr <= 0.0
-    high = arr >= 1.0
-    mid = ~(low | high)
-    out[low] = 0.0
-    out[high] = 1.0
-    out[mid] = rising[mid] / (rising[mid] + falling[mid])
+    out = rising / (rising + _bump(1.0 - arr))
     return float(out[0]) if scalar else out
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from conftest import random_frame
 
 from framecalc import (
     Frame,
-    RegimeKind,
     Scheme,
     alpha_frame,
     binomial_bounds,
@@ -22,7 +22,6 @@ from framecalc import (
     log_bound,
     log_dual,
     log_exact_inverse,
-    log_regime,
     log_remainder_norm,
     neumann_R,
     neumann_bound,
@@ -34,6 +33,7 @@ from framecalc import (
     write_csv,
     zn_bound,
 )
+from framecalc.approx import _inverse_geometric_mean, _log_generator
 
 ORTHONORMAL = Frame(3, np.eye(3))
 
@@ -166,29 +166,66 @@ def test_binomial_truncation_norm_dominated():
 # ---------------------------------------------------------------------------
 
 
-def test_log_regime_classification():
-    regime = log_regime(2.0, 8.0)
-    assert regime.kind is RegimeKind.BOUNDS_ABOVE_ONE
-    assert regime.contraction == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert regime.log_scale == pytest.approx(math.log(8.0), rel=1e-12)
-    assert (regime.shift, regime.base) == (1.0, 8.0)
+def paper_log_construction(lower, upper):
+    """The paper's three constructions of R_log, kept here as the reference.
 
-    regime = log_regime(1.0 / 8.0, 0.5)
-    assert regime.kind is RegimeKind.BOUNDS_BELOW_ONE
-    assert regime.contraction == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert regime.log_scale == pytest.approx(abs(math.log(1.0 / 8.0)), rel=1e-12)
-    assert (regime.shift, regime.base) == (1.0, 1.0 / 8.0)
+    Returns (shift, base, s, L): logarithms are taken of shift * S to the base,
+    s is the log to that base of the shifted bound nearest one, and L = |ln base|.
+    Bounds on one route to the straddling construction.
+    """
+    if lower > 1.0:
+        shift, base, near = 1.0, upper, lower
+    elif upper < 1.0:
+        shift, base, near = 1.0, lower, upper
+    else:
+        shift, base, near = 2.0 / lower, 2.0 * upper / lower, 2.0
+    log_base = math.log(base)
+    return shift, base, math.log(near) / log_base, abs(log_base)
 
-    regime = log_regime(1.0, 2.0)
-    assert regime.kind is RegimeKind.STRADDLING
-    assert regime.contraction == pytest.approx(0.5, rel=1e-12)
-    assert regime.log_scale == pytest.approx(math.log(4.0), rel=1e-12)
-    assert (regime.shift, regime.base) == (2.0, 4.0)
 
-    # Boundary values route to the straddling construction.
-    assert log_regime(1.0, 1.0).kind is RegimeKind.STRADDLING
-    assert log_regime(0.5, 1.0).kind is RegimeKind.STRADDLING
-    assert log_regime(5.0, 5.0).contraction == 1.0
+def paper_radius(lower, upper):
+    """(1-s) L / 2, the norm bound of the paper's generator."""
+    _, _, contraction, log_scale = paper_log_construction(lower, upper)
+    return (1.0 - contraction) / 2.0 * log_scale
+
+
+def test_log_scheme_matches_the_paper_regimes():
+    # Above, below and straddling one; both boundaries; a tight pair; a wide one.
+    cases = [(2.0, 8.0), (0.125, 0.5), (1.0, 2.0), (1.0, 1.0), (0.5, 1.0), (5.0, 5.0), (1e-3, 1e5)]
+    for lower, upper in cases:
+        shift, base, contraction, log_scale = paper_log_construction(lower, upper)
+        prefactor = math.log(base) * (1.0 + contraction) / 2.0
+        generator = _log_generator(lower, upper)
+        for lam in (lower, upper, math.sqrt(lower * upper)):
+            expected = prefactor - math.log(shift * lam)
+            # At sqrt(AB) both are 0 up to rounding, so a relative test needs a floor.
+            assert math.isclose(generator(lam), expected, rel_tol=1e-12, abs_tol=1e-12), lam
+        radius = paper_radius(lower, upper)
+        for order in range(6):
+            tail = radius ** (order + 1) / math.factorial(order + 1)
+            assert log_bound(lower, upper, order) == pytest.approx(
+                upper / lower * tail, rel=1e-12
+            )
+            assert zn_bound(lower, upper, order) == pytest.approx(
+                math.sqrt(upper / lower) * tail, rel=1e-12
+            )
+    assert log_bound(5.0, 5.0, 0) == zn_bound(5.0, 5.0, 0) == 0.0
+
+
+def test_log_scale_is_exact_and_never_overflows():
+    # The order-0 factor 1/sqrt(AB) is bit for bit the naive one wherever A*B
+    # is a normal float, and stays finite where A*B overflows or underflows.
+    rng = np.random.default_rng(107)
+    for lower, ratio in zip(np.exp(rng.uniform(-300, 300, 500)), np.exp(rng.uniform(0, 20, 500))):
+        lower, upper = float(lower), float(lower * ratio)
+        if sys.float_info.min <= lower * upper < math.inf:
+            assert _inverse_geometric_mean(lower, upper) == 1.0 / math.sqrt(lower * upper)
+    for factor in (1e100, 1e-100):
+        frame = scaled_demo_frame(factor**2)  # spectrum [f^2, 2 f^2]
+        lower, upper = factor**2, 2.0 * factor**2
+        found = log_exact_inverse(frame, lower, upper)
+        exact = spectral_apply(frame_operator(frame), lambda lam: 1.0 / lam)
+        assert operator_norm(symmetrize(found - exact)) <= 1e-12 * operator_norm(exact)
 
 
 def test_log_exact_inverse_matches_spectral_inverse_in_all_regimes():
@@ -269,8 +306,7 @@ def test_log_bound_values_and_decay():
     # Factorial decay beats any geometric ratio.
     for order in range(10):
         ratio = log_bound(1.0, 50.0, order + 1) / log_bound(1.0, 50.0, order)
-        regime = log_regime(1.0, 50.0)
-        radius = (1.0 - regime.contraction) / 2.0 * regime.log_scale
+        radius = paper_radius(1.0, 50.0)
         assert ratio == pytest.approx(radius / (order + 2), rel=1e-9)
 
 

@@ -246,6 +246,23 @@ def test_perturb_logarithmic_high_order(frame_file, capsys):
     assert float(rows[-1]["analytical_bound"]) == 0.0
 
 
+def test_non_numeric_entries_exit_two(tmp_path, capsys):
+    path = tmp_path / "strings.json"
+    path.write_text('{"dim": 2, "vectors": [["1", 0], [0, true]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: every vector must be a list of 2 numbers\n"
+
+
+def test_perturb_logarithmic_at_large_scale(tmp_path, capsys):
+    # S = 1e200 [[3, 1], [1, 3]]/2, so A*B overflows a float.
+    path = tmp_path / "scaled.json"
+    path.write_text(frame_to_json(Frame(2, 1e100 * demo_frame_2d().vectors)), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", "logarithmic"])
+    assert code == 0 and err == ""
+    assert len(list(csv.DictReader(out.splitlines()))) == 11
+
+
 def test_gabor_defaults(capsys):
     code, out, _ = run_cli(capsys, ["gabor"])
     assert code == 0

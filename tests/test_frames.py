@@ -506,3 +506,12 @@ def test_frame_from_dict_validation():
         frame_from_dict({"dim": 2, "vectors": [[1.0, 0.0, 3.0]]})
     with pytest.raises(ValueError, match="two-element"):
         frame_from_dict({"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]], "bounds": [1.0]})
+    # Entries must be JSON numbers: strings and booleans are not read as floats.
+    for row in (["1", 0], [0, True], [None, 1.0], [[1.0], 0.0]):
+        with pytest.raises(ValueError, match="list of 2 numbers"):
+            frame_from_dict({"dim": 2, "vectors": [row, [0.0, 1.0]]})
+    for bounds in ([True, "1"], [1.0, "2"], [False, 2.0]):
+        with pytest.raises(ValueError, match="two-element list of numbers"):
+            frame_from_dict({"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]], "bounds": bounds})
+    frame = frame_from_dict({"dim": 2, "vectors": [[1, 0], [0, 2.5]], "bounds": [1, 6.25]})
+    assert frame.declared_bounds == (1.0, 6.25)
