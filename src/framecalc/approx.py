@@ -33,7 +33,6 @@ from .frames import (
     _checked_frame_bounds,
     _format_float,
     _probes,
-    frame_operator,
     frame_spectrum,
 )
 from .linalg import operator_norm, spectral_function, symmetrize
@@ -147,11 +146,16 @@ def _check_order(order: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _neumann_generator(lower: float, upper: float) -> Callable[[float], float]:
+    """R = I - (2/(A+B)) S as a scalar function of S."""
+    scale = 2.0 / (lower + upper)
+    return lambda lam: 1.0 - scale * lam
+
+
 def neumann_R(frame: Frame, lower: float, upper: float) -> np.ndarray:
     """The remainder operator R = I - (2/(A+B)) S; ||R|| <= (B-A)/(B+A)."""
     lower, upper = _checked_frame_bounds(frame, lower, upper)
-    operator = frame_operator(frame)
-    return symmetrize(np.eye(frame.dim) - (2.0 / (lower + upper)) * operator)
+    return spectral_function(frame_spectrum(frame), _neumann_generator(lower, upper))
 
 
 def neumann_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
@@ -292,17 +296,13 @@ def log_remainder_norm(frame: Frame, lower: float, upper: float, order: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _log_operator(frame: Frame, lower: float, upper: float) -> np.ndarray:
-    """The generator c R_log as a matrix, read from the frame's spectrum."""
-    return spectral_function(frame_spectrum(frame), _log_generator(lower, upper))
-
-
 class _Rule(NamedTuple):
     """Everything that sets a scheme apart. Its series sums t_k = t_(k-1) @ op
-    * weight(k) with op = operator(frame, A, B), and scale * series
-    approximates S^power phi_i, with reconstruction error at most bound(A, B, N)."""
+    * weight(k) with op = generator(A, B) applied to the frame operator S, and
+    scale * series approximates S^power phi_i, with reconstruction error at
+    most bound(A, B, N)."""
 
-    operator: Callable[[Frame, float, float], np.ndarray]
+    generator: Callable[[float, float], Callable[[float], float]]
     weight: Callable[[int], float]
     scale: Callable[[float, float], float]
     bound: Callable[[float, float, int], float]
@@ -313,17 +313,17 @@ class _Rule(NamedTuple):
 # (-1)^k C(-1/2, k), and 1/k! for the exponential.
 _RULES = {
     Scheme.NEUMANN: _Rule(
-        neumann_R, lambda k: 1.0, lambda a, b: 2.0 / (a + b), neumann_bound, -1.0
+        _neumann_generator, lambda k: 1.0, lambda a, b: 2.0 / (a + b), neumann_bound, -1.0
     ),
     Scheme.BINOMIAL_HALF: _Rule(
-        neumann_R,
+        _neumann_generator,
         lambda k: (k - 0.5) / k,
         lambda a, b: math.sqrt(2.0 / (a + b)),
         lambda a, b, n: binomial_bounds(a, b, n).reconstruction_bound,
         -0.5,
     ),
     Scheme.LOGARITHMIC: _Rule(
-        _log_operator, lambda k: 1.0 / k, _inverse_geometric_mean, log_bound, -1.0
+        _log_generator, lambda k: 1.0 / k, _inverse_geometric_mean, log_bound, -1.0
     ),
 }
 
@@ -334,7 +334,7 @@ def _series(
     """Yield the partial sums t_0 + ... + t_N for N = 0..order, where t_0 = start
     and t_k = t_(k-1) @ op * weight(k); one matrix product per order."""
     rule = _RULES[scheme]
-    op = rule.operator(frame, lower, upper)
+    op = spectral_function(frame_spectrum(frame), rule.generator(lower, upper))
     term = acc = start
     yield acc
     for k in range(1, order + 1):
@@ -393,7 +393,7 @@ def run_convergence(
     n_max = _check_order(n_max)
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    if scheme is Scheme.BINOMIAL_HALF and not upper < 3.0 * lower:
+    if scheme is Scheme.BINOMIAL_HALF and not binomial_bounds(lower, upper, n_max).convergent:
         raise ValueError(
             f"BinomialHalf requires B < 3A: bounds ({lower}, {upper}) violate "
             "the convergence condition of its error bound"

@@ -7,7 +7,8 @@ built-in numeric claims), and ``gabor`` (tight-window report as JSON).
 
 Exit codes: 0 on success, 1 on a mathematical failure (not a frame, a bound
 violated, a claim failed, a window outside the 1% tightness gate), 2 on
-usage or input errors, an arithmetic error that the inputs provoke included.
+usage or input errors, an arithmetic or memory error that the inputs provoke
+included.
 Floats in JSON and CSV output carry 17 significant digits so they round-trip
 bit-faithfully.
 """
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

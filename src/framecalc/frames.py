@@ -41,11 +41,14 @@ __all__ = [
     "synthesis",
 ]
 
-# lambda_min must exceed this fraction of max(1, lambda_max) for the family
-# to count as a frame (an explicit numerical-rank decision).
+# lambda_min must exceed this fraction of lambda_max for the family to count
+# as a frame, i.e. kappa(S) <= 1e12 (an explicit numerical-rank decision). The
+# rule is a ratio, so scaling a family never changes its verdict.
 FRAME_RANK_TOLERANCE = 1e-12
 
-# Relative slack when validating declared bounds against the spectrum.
+# Relative slack at each end when validating declared bounds against the
+# spectrum: A may exceed lambda_min, and B fall short of lambda_max, by this
+# fraction of that eigenvalue.
 BOUNDS_RTOL = 1e-9
 
 
@@ -145,11 +148,11 @@ def _checked_bounds(lower: float, upper: float) -> tuple[float, float]:
 
 
 def _checked_frame_bounds(frame: Frame, lower: float, upper: float) -> tuple[float, float]:
-    """Valid bounds (A, B) that enclose the frame-operator spectrum, up to BOUNDS_RTOL."""
+    """Valid bounds (A, B) of a frame that enclose its frame-operator spectrum,
+    up to BOUNDS_RTOL at each end."""
     lower, upper = _checked_bounds(lower, upper)
-    lam_min, lam_max = optimal_bounds(frame)
-    slack = BOUNDS_RTOL * max(1.0, abs(lam_max))
-    if lower > lam_min + slack or lam_max > upper + slack:
+    lam_min, lam_max = _frame_bounds(frame, "bounds are undefined")
+    if lower > lam_min * (1.0 + BOUNDS_RTOL) or upper < lam_max * (1.0 - BOUNDS_RTOL):
         raise ValueError(
             f"declared bounds ({lower}, {upper}) do not enclose the "
             f"frame-operator spectrum [{lam_min}, {lam_max}]"
@@ -158,7 +161,15 @@ def _checked_frame_bounds(frame: Frame, lower: float, upper: float) -> tuple[flo
 
 
 def _is_frame_spectrum(lam_min: float, lam_max: float) -> bool:
-    return lam_min > FRAME_RANK_TOLERANCE * max(1.0, abs(lam_max))
+    return lam_min > FRAME_RANK_TOLERANCE * lam_max
+
+
+def _frame_bounds(frame: Frame, reason: str) -> tuple[float, float]:
+    """The optimal bounds of a frame; ``NotAFrameError`` citing ``reason`` otherwise."""
+    lam_min, lam_max = optimal_bounds(frame)
+    if not _is_frame_spectrum(lam_min, lam_max):
+        raise NotAFrameError(f"not a frame: {reason}")
+    return lam_min, lam_max
 
 
 def analysis(frame: Frame, f) -> np.ndarray:
@@ -217,16 +228,14 @@ def alpha_frame(frame: Frame, alpha: float) -> Frame:
     a < -1/2. Negative powers require the family to actually be a frame.
     """
     alpha = float(alpha)
-    lam_min, lam_max = optimal_bounds(frame)
-    frame_like = _is_frame_spectrum(lam_min, lam_max)
-    if alpha < 0.0 and not frame_like:
-        raise NotAFrameError("not a frame: fractional negative power undefined")
+    if alpha < 0.0:
+        _frame_bounds(frame, "fractional negative power undefined")
     factors = frame._svd.power(2.0 * alpha + 1.0)
     right = factors.spectrum.eigenvectors
     family = Frame(frame.dim, (factors.left * factors.singular_values) @ right.T)
     # The family keeps its factorization, and its bounds are proved, not re-validated.
     family.__dict__["_svd"] = factors
-    if frame_like:
+    if _is_frame_spectrum(*optimal_bounds(frame)):
         object.__setattr__(family, "declared_bounds", optimal_bounds(family))
     return family
 
@@ -255,10 +264,11 @@ def proposition1_check(
     Checks A'||f||^2 <= sum_i |<phi_i^(alpha), f>|^2 <= B'||f||^2 on ``samples``
     seeded unit vectors plus every eigenvector of the frame operator, along
     with the identity sum_i |<phi_i^(alpha), f>|^2 = <S^(2a+1) f, f>.
-    Violations beyond the tolerance are reported, not raised.
+    Violations beyond the tolerance 1e-9 * B' * max ||f||^2 are reported, not
+    raised; like the frame inequality itself, the tolerance scales with the
+    family, so the verdict does not depend on the frame's scale.
     """
-    if not _is_frame_spectrum(*optimal_bounds(frame)):
-        raise NotAFrameError("not a frame: bounds are undefined")
+    _frame_bounds(frame, "bounds are undefined")
 
     family = alpha_frame(frame, alpha)
     lower, upper = family.declared_bounds
@@ -271,7 +281,7 @@ def proposition1_check(
     max_lower = max(0.0, float(np.max(lower * norm_sq - totals)))
     max_upper = max(0.0, float(np.max(totals - upper * norm_sq)))
     max_identity = float(np.max(np.abs(totals - quadratic)))
-    tolerance = 1e-9 * max(1.0, upper * float(np.max(norm_sq)))
+    tolerance = 1e-9 * upper * float(np.max(norm_sq))
     passed = max(max_lower, max_upper, max_identity) <= tolerance
     return BoundCheckReport(
         alpha=float(alpha),

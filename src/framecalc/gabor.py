@@ -126,8 +126,10 @@ def sample_grid(params: GaborParams) -> np.ndarray:
 
 def _bump(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
-    positive = t > 0.0
-    out[positive] = np.exp(-1.0 / t[positive])
+    # exp(-1/t) is exactly 0.0 in float64 for t <= 1/746; skipping those t keeps
+    # -1/t from overflowing on subnormal t.
+    live = t > 1.0 / 746.0
+    out[live] = np.exp(-1.0 / t[live])
     return out
 
 

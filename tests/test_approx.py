@@ -9,6 +9,7 @@ from conftest import random_frame
 
 from framecalc import (
     Frame,
+    NotAFrameError,
     Scheme,
     alpha_frame,
     binomial_bounds,
@@ -67,6 +68,9 @@ def test_neumann_remainder_tight_frames():
 def test_neumann_remainder_rejects_invalid_bounds():
     with pytest.raises(ValueError, match="do not enclose"):
         neumann_R(demo_frame_2d(), 1.2, 2.0)
+    # kappa(S) = 1e14: bounds that enclose the spectrum do not make it a frame.
+    with pytest.raises(NotAFrameError, match="not a frame"):
+        neumann_R(Frame(2, np.array([[1.0, 0.0], [0.0, 1e-7]])), 1e-14, 1.0)
     with pytest.raises(ValueError, match="0 < A <= B"):
         neumann_R(demo_frame_2d(), 0.0, 2.0)
 

@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from conftest import random_frame
 
 import framecalc.cli as cli
-from framecalc import Frame, bound_satisfied, demo_frame_2d, frame_to_json
+from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
 from framecalc.reference import expected_power_family_2d
 
@@ -263,6 +265,87 @@ def test_perturb_logarithmic_at_large_scale(tmp_path, capsys):
     assert len(list(csv.DictReader(out.splitlines()))) == 11
 
 
+@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+def test_perturb_refuses_a_non_frame(scheme, tmp_path, capsys):
+    # kappa(S) = 1e14 is past the documented 1e12 limit, whatever the bounds.
+    path = tmp_path / "ill.json"
+    path.write_text(frame_to_json(Frame(2, np.array([[1.0, 0.0], [0.0, 1e-7]]))), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", scheme])
+    assert code == 1 and out == ""
+    assert err == "error: not a frame: bounds are undefined\n"
+
+
+def test_declared_bounds_are_checked_relative_to_the_spectrum(tmp_path, capsys):
+    # Spectrum [1e-200, 2e-200]: bounds (1e-12, 1e-11) miss it by 11 orders.
+    path = tmp_path / "tiny.json"
+    vectors = (1e-100 * demo_frame_2d().vectors).tolist()
+    path.write_text(json.dumps({"dim": 2, "vectors": vectors, "bounds": [1e-12, 1e-11]}))
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: declared bounds") and "do not enclose" in err
+    assert err.count("\n") == 1
+
+
+SCALE_EXPONENTS = (-160, -40, 0, 40, 160)
+
+
+def _times(value, factor):
+    if isinstance(value, list):
+        return [_times(item, factor) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value * factor
+    return value
+
+
+def _unscaled(command, alpha, out, k):
+    """The numbers a command prints for a frame scaled by 2^k, with that scale
+    divided out: S scales by 4^k and the power-alpha family by 2^(k(2 alpha+1))."""
+    if command == "perturb":
+        rows = list(csv.reader(out.splitlines()))
+        return rows[:1] + [
+            [scheme, float(a) / 4.0**k, float(b) / 4.0**k, *map(float, rest)]
+            for scheme, a, b, *rest in rows[1:]
+        ]
+    if command == "analyze":
+        powers = dict.fromkeys(["lambda_min", "lambda_max", "optimal_bounds", "eigenvalues"], 2)
+        powers["inverse_norm"] = -2
+    else:
+        powers = {"vectors": 2 * alpha + 1, "bounds": 4 * alpha + 2}
+    report = json.loads(out) if out else {}
+    return {key: _times(value, 2.0 ** (-powers.get(key, 0) * k)) for key, value in report.items()}
+
+
+@pytest.mark.parametrize(
+    "make_frame",
+    [
+        demo_frame_2d,
+        demo_frame_3d,
+        lambda: random_frame(np.random.default_rng(5), 5, 9, 1.0, 2.5),
+        lambda: random_frame(np.random.default_rng(6), 6, 12, 1.0, 1e10),
+    ],
+    ids=["demo-2d", "demo-3d", "random", "random-kappa-1e10"],
+)
+def test_verdicts_and_numbers_are_invariant_under_scaling(make_frame, tmp_path, capsys):
+    # Scaling the vectors by 2^k is exact in float64, and every rule here is a
+    # ratio, so exit codes, stderr verdicts and the unscaled numbers must all
+    # be identical. Where 2 alpha + 1 is dyadic, that holds bit for bit.
+    frame = make_frame()
+    commands = [("analyze", None, []), ("dual", -1.0, [])]
+    commands += [("alpha", alpha, ["--alpha", str(alpha)]) for alpha in (-0.5, -0.25)]
+    commands += [("perturb", None, ["--scheme", scheme]) for scheme in sorted(cli.SCHEMES)]
+    outcomes = {}
+    for k in SCALE_EXPONENTS:
+        path = tmp_path / f"scaled{k}.json"
+        path.write_text(frame_to_json(Frame(frame.dim, frame.vectors * 2.0**k)), encoding="utf-8")
+        for command, alpha, options in commands:
+            code, out, err = run_cli(capsys, [command, str(path)] + options)
+            # Only the bounds that the BinomialHalf refusal quotes carry the scale.
+            verdict = re.sub(r"\([^)]*\)", "(A, B)", err)
+            outcomes[k, command, alpha, *options] = (code, verdict, _unscaled(command, alpha, out, k))
+    for (k, *call), outcome in outcomes.items():
+        assert outcome == outcomes[(0, *call)], (k, call)
+
+
 def test_gabor_defaults(capsys):
     code, out, _ = run_cli(capsys, ["gabor"])
     assert code == 0
@@ -281,6 +364,15 @@ def test_gabor_failed_tightness_exits_one(capsys):
     report = json.loads(out)
     assert report["relative_error"] > 0.01 and report["truncation_warning"] is True
     assert err.startswith("tightness failed: ") and err.count("\n") == 1
+
+
+def test_gabor_unallocatable_grid_exits_two(capsys):
+    # 9.6e16 grid samples (682 PiB of int64) exceed every address space, so
+    # numpy refuses the allocation up front instead of committing memory.
+    code, out, err = run_cli(capsys, ["gabor", "--grid-step", "1e-15"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_gabor_invalid_params_exit_two(capsys):

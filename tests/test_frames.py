@@ -54,6 +54,11 @@ def test_frame_validation():
         Frame(2, np.eye(2), (-1.0, 1.0))
     with pytest.raises(ValueError, match="do not enclose"):
         Frame(2, np.eye(2), (1.5, 2.0))
+    # Enclosure is relative at each end, so it holds at any scale.
+    with pytest.raises(ValueError, match="do not enclose"):
+        Frame(2, 1e-100 * demo_frame_2d().vectors, (1e-12, 1e-11))
+    with pytest.raises(NotAFrameError, match="not a frame"):
+        Frame(2, np.array([[1.0, 0.0], [2.0, 0.0]]), (1e-20, 5.0))
     with pytest.raises(ValueError, match="overflows float64"):
         Frame(1, np.array([[1e160]]))
 

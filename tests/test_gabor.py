@@ -25,6 +25,17 @@ def test_smooth_nu_boundary_values():
     assert smooth_nu(0.5) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_smooth_nu_is_silent_on_subnormal_inputs():
+    # exp(-1/t) is 0.0 in float64 long before -1/t overflows; tier-1 turns the
+    # overflow warning the plain formula raises into an error.
+    xs = np.array([-5e-324, 0.0, 5e-324, 1e-310, 1.0 / 746.0, 1.0 / 745.0, 2e-3, 0.5, 1.0, np.inf])
+    with np.errstate(over="ignore", divide="ignore"):
+        bump = np.where(xs > 0.0, np.exp(-1.0 / xs), 0.0)
+        rest = np.where(1.0 - xs > 0.0, np.exp(-1.0 / (1.0 - xs)), 0.0)
+    np.testing.assert_array_equal(smooth_nu(xs), bump / (bump + rest))
+    assert smooth_nu(5e-324) == 0.0
+
+
 def test_smooth_nu_monotone_and_bounded():
     xs = np.linspace(-0.5, 1.5, 4001)
     values = smooth_nu(xs)
