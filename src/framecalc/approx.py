@@ -146,9 +146,16 @@ def _check_order(order: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _midpoint(lower: float, upper: float) -> float:
+    """(A+B)/2 without forming A+B, which overflows for bounds past about 9e307.
+    Halving is exact for normal floats, so every ratio built on it is bit for
+    bit the one built on A+B or 2A wherever those do not overflow."""
+    return 0.5 * lower + 0.5 * upper
+
+
 def _neumann_generator(lower: float, upper: float) -> Callable[[float], float]:
     """R = I - (2/(A+B)) S as a scalar function of S."""
-    scale = 2.0 / (lower + upper)
+    scale = 1.0 / _midpoint(lower, upper)
     return lambda lam: 1.0 - scale * lam
 
 
@@ -168,7 +175,7 @@ def neumann_bound(lower: float, upper: float, order: int) -> float:
     ((B-A)/(B+A))^(N+1), summed in logs like every bound here."""
     lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
-    return _exp((order + 1) * _log((upper - lower) / (upper + lower)))
+    return _exp((order + 1) * _log(0.5 * (upper - lower) / _midpoint(lower, upper)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +215,8 @@ def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
     """
     lower, upper = _checked_bounds(lower, upper)
     order = _check_order(order)
-    log_power = (order + 1) * _log((upper - lower) / (2.0 * lower))
-    tn = _exp(log_power + 0.5 * math.log((lower + upper) / (2.0 * lower)))
+    log_power = (order + 1) * _log(0.5 * (upper - lower) / lower)
+    tn = _exp(log_power + 0.5 * math.log(_midpoint(lower, upper) / lower))
     head = _exp(log_power + 0.5 * math.log(upper / lower))
     return BinomialBounds(tn, head * (2.0 + head), upper < 3.0 * lower)
 
@@ -313,12 +320,12 @@ class _Rule(NamedTuple):
 # (-1)^k C(-1/2, k), and 1/k! for the exponential.
 _RULES = {
     Scheme.NEUMANN: _Rule(
-        _neumann_generator, lambda k: 1.0, lambda a, b: 2.0 / (a + b), neumann_bound, -1.0
+        _neumann_generator, lambda k: 1.0, lambda a, b: 1.0 / _midpoint(a, b), neumann_bound, -1.0
     ),
     Scheme.BINOMIAL_HALF: _Rule(
         _neumann_generator,
         lambda k: (k - 0.5) / k,
-        lambda a, b: math.sqrt(2.0 / (a + b)),
+        lambda a, b: math.sqrt(1.0 / _midpoint(a, b)),
         lambda a, b, n: binomial_bounds(a, b, n).reconstruction_bound,
         -0.5,
     ),

@@ -176,14 +176,20 @@ def _cmd_gabor(args) -> int:
         ("target", report.target),
         ("relative_error", report.relative_error),
         ("truncation_warning", report.truncation_warning),
+        ("aliasing_warning", report.aliasing_warning),
     ]
     sys.stdout.write(_json_object(pairs))
     if not report.passed:
-        print(
-            f"tightness failed: relative error {_format_float(report.relative_error)} "
-            f"(tol {TIGHTNESS_RTOL:g}), truncation warning {report.truncation_warning}",
-            file=sys.stderr,
-        )
+        # Truncation and aliasing have opposite remedies, so each is named.
+        causes = [f"relative error {_format_float(report.relative_error)} (tol {TIGHTNESS_RTOL:g})"]
+        if report.truncation_warning:
+            causes.append("truncation: the outermost rings carry energy (raise --M or --halfwidth)")
+        if report.aliasing_warning:
+            causes.append(
+                "aliasing: orders past the grid's Nyquist frequency carry energy "
+                "(lower --M or --grid-step)"
+            )
+        print("tightness failed: " + "; ".join(causes), file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -11,12 +11,15 @@ partition identity is what makes the modulated-translate family
 Inner products are trapezoidal sums on a uniform grid; with smooth, well
 supported signals the quadrature noise sits far below the 1% acceptance gate
 (``TIGHTNESS_RTOL``) of the tightness check. Each inner product only runs
-over the L ~ 2*pi/(p0*grid_step) samples under its translate's support, so
-the check takes one (2M+1) x L phase matrix and one matrix product against
-the 2S+1 support segments: (2M+1)*L*(2S+1) multiply-adds and (2M+1)*L
-complex phases, independent of the grid's half width. Modulation orders past the grid's
-Nyquist frequency (|m|*p0*grid_step > pi) alias onto orders within it and
-are counted again.
+over the L ~ 2*pi/(p0*grid_step) samples under its translate's support, and
+order -m is the conjugate of order m, so the check takes one (M+1) x L phase
+matrix, built from (M+1)*(F + ceil(L/F)) complex exponentials with
+F = isqrt(L), and one matrix product against the 2S+1 support segments and
+their conjugates: (M+1)*L*2(2S+1) complex multiply-adds, independent of the
+grid's half width. Modulation orders past the grid's Nyquist frequency
+(|m|*p0*grid_step > pi) alias onto orders within it and are counted again;
+the report carries an aliasing warning when they hold more than
+``TAIL_FRACTION`` of the energy.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ __all__ = [
 ]
 
 # Fraction of total coefficient energy allowed in the outermost modulation
-# and translation rings before a truncation warning is raised.
+# and translation rings before a truncation warning is raised, and in the
+# orders past the grid's Nyquist frequency before an aliasing warning is.
 TAIL_FRACTION = 1e-6
 
 # Largest relative error of the coefficient energy against the frame constant
@@ -111,11 +115,16 @@ class TightnessReport:
     target: float
     relative_error: float
     truncation_warning: bool
+    aliasing_warning: bool = False
 
     @property
     def passed(self) -> bool:
-        """Within ``TIGHTNESS_RTOL`` of the target, with no truncation warning."""
-        return self.relative_error <= TIGHTNESS_RTOL and not self.truncation_warning
+        """Within ``TIGHTNESS_RTOL`` of the target, with neither warning."""
+        return (
+            self.relative_error <= TIGHTNESS_RTOL
+            and not self.truncation_warning
+            and not self.aliasing_warning
+        )
 
 
 def sample_grid(params: GaborParams) -> np.ndarray:
@@ -216,18 +225,23 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     that cover the support of its translate, and the phase is taken relative
     to the segment's first sample, a unit-modulus factor that drops out of
     |c_mn|^2. All 2S+1 segments of window times signal are formed at once
-    (zero where a segment hangs past a grid edge) and every coefficient comes
-    from one product of the (2M+1) x L local phase matrix with them:
-    (2M+1)*L*(2S+1) multiply-adds and (2M+1)*L complex numbers of phases,
-    whatever the grid's half width.
+    (zero where a segment hangs past a grid edge). Row -m of the phase matrix
+    is the conjugate of row m, so only orders 0..M are built, and every
+    coefficient comes from one product of the (M+1) x L phase matrix with the
+    segments and their conjugates: (M+1)*L*2(2S+1) complex multiply-adds,
+    whatever the grid's half width. The phases exp(-i p0 grid_step m j) factor
+    over j = F*a + b with F = isqrt(L), so they take (M+1)*(F + ceil(L/F))
+    complex exponentials and (M+1)*L products.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
     energy is counted again and the ratio overshoots the target.
 
-    A warning is attached when the outermost modulation or translation ring
-    carries more than ``TAIL_FRACTION`` of the total coefficient energy,
-    which signals insufficient truncation or support.
+    A truncation warning is attached when the outermost modulation or
+    translation ring carries more than ``TAIL_FRACTION`` of the total
+    coefficient energy, which signals insufficient truncation or support; an
+    aliasing warning when the orders past the Nyquist frequency do, which
+    signals too high a truncation order for the grid.
     """
     grid = sample_grid(params)
     values = np.asarray(signal, dtype=complex)
@@ -253,9 +267,19 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     window = window_gain * window_g(indices * step - centers[:, None], params)
     segments = window * samples
 
-    orders = np.arange(-params.mod_order, params.mod_order + 1)
-    phases = np.exp(-1j * params.p0 * np.outer(orders, np.arange(length) * step))
-    energies = np.abs(step * (phases @ segments.T)) ** 2
+    # Orders 0..M only: c_{-m,n} = conj(phases_m @ conj(segment_n)). Phase
+    # exp(-i theta m j) with j = F*a + b is hi[m, a] * lo[m, b].
+    theta = params.p0 * step
+    orders = np.arange(params.mod_order + 1)
+    fine = math.isqrt(length)
+    coarse = np.arange((length + fine - 1) // fine) * fine
+    hi = np.exp(-1j * theta * np.outer(orders, coarse))
+    lo = np.exp(-1j * theta * np.outer(orders, np.arange(fine)))
+    phases = (hi[:, :, None] * lo[:, None, :]).reshape(len(orders), -1)[:, :length]
+    count = len(segments)
+    halves = np.abs(step * (phases @ np.concatenate([segments, segments.conj()]).T)) ** 2
+    # Rows -M..M: the conjugate half supplies the negative orders.
+    energies = np.concatenate([halves[:0:-1, count:], halves[:, :count]])
 
     # Outermost rings: both modulation edges of every translate (the one row
     # twice when M = 0) and every order of the outermost translates (the one
@@ -263,6 +287,8 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     outer_columns = [0, -1] if params.shift_order else [0]
     total = float(np.sum(energies))
     tail = float(np.sum(energies[[0, -1]]) + np.sum(energies[:, outer_columns]))
+    # Both signs of every order past Nyquist; order 0 never is.
+    aliased = float(np.sum(halves[orders * theta > math.pi]))
 
     ratio = total / norm_sq
     target = params.tight_constant * window_gain**2
@@ -271,4 +297,5 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
         target=target,
         relative_error=abs(ratio - target) / target,
         truncation_warning=bool(tail > TAIL_FRACTION * total),
+        aliasing_warning=bool(aliased > TAIL_FRACTION * total),
     )

@@ -34,7 +34,7 @@ from framecalc import (
     write_csv,
     zn_bound,
 )
-from framecalc.approx import _inverse_geometric_mean, _log_generator
+from framecalc.approx import _RULES, _inverse_geometric_mean, _log_generator, _neumann_generator
 
 ORTHONORMAL = Frame(3, np.eye(3))
 
@@ -230,6 +230,28 @@ def test_log_scale_is_exact_and_never_overflows():
         found = log_exact_inverse(frame, lower, upper)
         exact = spectral_apply(frame_operator(frame), lambda lam: 1.0 / lam)
         assert operator_norm(symmetrize(found - exact)) <= 1e-12 * operator_norm(exact)
+
+
+def test_midpoint_forms_are_bit_identical_to_the_sums():
+    # (A+B)/2 replaces A+B and 2A: exact halving keeps every value bit for bit
+    # wherever the direct forms do not overflow.
+    rng = np.random.default_rng(109)
+    for lower, ratio in zip(np.exp(rng.uniform(-690, 690, 500)), np.exp(rng.uniform(0, 2.5, 500))):
+        lower, upper = float(lower), float(lower * ratio)
+        if upper == lower or upper + lower == math.inf:
+            continue
+        lam = float(rng.uniform(lower, upper))
+        assert _neumann_generator(lower, upper)(lam) == 1.0 - (2.0 / (lower + upper)) * lam
+        assert _RULES[Scheme.NEUMANN].scale(lower, upper) == 2.0 / (lower + upper)
+        assert _RULES[Scheme.BINOMIAL_HALF].scale(lower, upper) == math.sqrt(2.0 / (lower + upper))
+        for order in (0, 3, 40):
+            assert neumann_bound(lower, upper, order) == math.exp(
+                (order + 1) * math.log((upper - lower) / (upper + lower))
+            )
+            log_power = (order + 1) * math.log((upper - lower) / (2.0 * lower))
+            tn = math.exp(log_power + 0.5 * math.log((lower + upper) / (2.0 * lower)))
+            head = math.exp(log_power + 0.5 * math.log(upper / lower))
+            assert binomial_bounds(lower, upper, order)[:2] == (tn, head * (2.0 + head))
 
 
 def test_log_exact_inverse_matches_spectral_inverse_in_all_regimes():

@@ -266,6 +266,18 @@ def test_perturb_logarithmic_at_large_scale(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+def test_perturb_near_the_largest_float(scheme, tmp_path, capsys):
+    # S = 1.5e308, so A + B and 2A overflow a float while (A+B)/2 does not.
+    path = tmp_path / "top.json"
+    path.write_text('{"dim": 1, "vectors": [[1.224744871391589e154]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", scheme])
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 11
+    assert all(float(row["measured_error"]) <= 1e-15 for row in rows)
+
+
+@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
 def test_perturb_refuses_a_non_frame(scheme, tmp_path, capsys):
     # kappa(S) = 1e14 is past the documented 1e12 limit, whatever the bounds.
     path = tmp_path / "ill.json"
@@ -353,6 +365,19 @@ def test_gabor_defaults(capsys):
     assert report["target"] == pytest.approx(2.0 * math.pi / 4.0, rel=1e-15)
     assert report["relative_error"] <= 0.01
     assert report["truncation_warning"] is False
+    assert report["aliasing_warning"] is False
+
+
+def test_gabor_aliasing_exits_one(capsys):
+    # The grid's Nyquist order is 50: orders up to 140 fold back and are
+    # counted again, a ratio of 3x the target that no ring warning catches.
+    code, out, err = run_cli(capsys, ["gabor", "--p0", "1", "--q0", "4", "--M", "140"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["ratio"] == pytest.approx(3.0 * report["target"], rel=1e-9)
+    assert report["truncation_warning"] is False and report["aliasing_warning"] is True
+    assert err.startswith("tightness failed: ") and err.count("\n") == 1
+    assert "aliasing" in err and "truncation" not in err
 
 
 def test_gabor_failed_tightness_exits_one(capsys):

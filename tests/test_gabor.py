@@ -151,6 +151,7 @@ def test_tightness_report_passed_gate():
     assert TightnessReport(1.0, 1.0, TIGHTNESS_RTOL, False).passed
     assert not TightnessReport(1.0, 1.0, 1.5 * TIGHTNESS_RTOL, False).passed
     assert not TightnessReport(1.0, 1.0, 0.0, True).passed
+    assert not TightnessReport(1.0, 1.0, 0.0, False, True).passed
     params = demo_gabor_params()
     assert tightness_check(window_g(sample_grid(params), params), params).passed
 
@@ -178,16 +179,18 @@ def _full_grid_tightness(signal, params, gain=1.0):
     values = np.asarray(signal, dtype=complex)
     orders = np.arange(-params.mod_order, params.mod_order + 1)
     phases = np.exp(-1j * params.p0 * np.outer(orders, grid))
-    total = tail = 0.0
+    past_nyquist = np.abs(orders) * params.p0 * params.grid_step > math.pi
+    total = tail = aliased = 0.0
     for n in range(-params.shift_order, params.shift_order + 1):
         window = gain * window_g(grid - n * params.q0, params)
         energies = np.abs(params.grid_step * (phases @ (window * values))) ** 2
         total += energies.sum()
         tail += energies[0] + energies[-1]
+        aliased += energies[past_nyquist].sum()
         if abs(n) == params.shift_order:
             tail += energies.sum()
     ratio = total / (params.grid_step * np.sum(np.abs(values) ** 2))
-    return ratio, bool(tail > TAIL_FRACTION * total)
+    return ratio, bool(tail > TAIL_FRACTION * total), bool(aliased > TAIL_FRACTION * total)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +209,13 @@ def _full_grid_tightness(signal, params, gain=1.0):
         (GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5, mod_order=3), "complex", 1.0, True),
         (GaborParams(p0=2.0, q0=2.5, mod_order=30), "real", 0.37, False),
         (GaborParams(p0=0.5, q0=8.0, mod_order=40), "complex", 1.0, False),
+        # About 2.1x the Nyquist order (50, 53 and 58): the sum folds over the
+        # spectrum twice, so the outermost orders alias onto low ones and both
+        # warnings are raised. The support spans L = 104 and 110 samples,
+        # which are not squares, and 121.
+        (GaborParams(p0=1.0, q0=4.0, mod_order=106), "real", 1.0, True),
+        (GaborParams(p0=math.pi, q0=1.2, mod_order=112), "complex", 1.0, True),
+        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 75, mod_order=124), "complex", 1.0, True),
     ],
 )
 def test_tightness_matches_full_grid_products(params, probe, gain, warns):
@@ -217,9 +227,12 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
         signal = signals[-1] if probe == "complex" else signals[0]
         assert np.any(signal.imag) == (probe == "complex")
     report = tightness_check(signal, params, window_gain=gain)
-    ratio, warning = _full_grid_tightness(signal, params, gain)
+    ratio, warning, aliasing = _full_grid_tightness(signal, params, gain)
     assert abs(report.ratio - ratio) <= 1e-12 * ratio
     assert report.truncation_warning == warning == warns
+    assert report.aliasing_warning == aliasing
+    if params.mod_order > 2.0 * math.pi / (params.p0 * params.grid_step):
+        assert aliasing
 
 
 def test_tightness_memory_stays_on_the_window_support():
