@@ -11,12 +11,15 @@ partition identity is what makes the modulated-translate family
 Inner products are trapezoidal sums on a uniform grid; with smooth, well
 supported signals the quadrature noise sits far below the 1% acceptance gate
 (``TIGHTNESS_RTOL``) of the tightness check. Each inner product only runs
-over the L ~ 2*pi/(p0*grid_step) samples under its translate's support, and
-order -m is the conjugate of order m, so the check takes one (M+1) x L phase
-matrix, built from (M+1)*(F + ceil(L/F)) complex exponentials with
-F = isqrt(L), and one matrix product against the 2S+1 support segments and
-their conjugates: (M+1)*L*2(2S+1) complex multiply-adds, independent of the
-grid's half width. Modulation orders past the grid's Nyquist frequency
+over the L ~ 2*pi/(p0*grid_step) samples under its translate's support. The
+window is sampled at L points once per distinct sub-sample offset of the
+translates (once when q0 is a multiple of grid_step), and order -m takes the
+conjugate phase of order m, so the check takes one L x (M+1) phase table
+(16*(M+1)*L bytes), built from (M+1)*(F + ceil(L/F)) complex exponentials
+with F = isqrt(L), and one real matrix product of the 2S+1 support segments
+with its cosine and sine columns: 2(M+1)*L*(2S+1) real multiply-adds for a
+real signal and twice that for a complex one, independent of the grid's half
+width. Modulation orders past the grid's Nyquist frequency
 (|m|*p0*grid_step > pi) alias onto orders within it and are counted again;
 the report carries an aliasing warning when they hold more than
 ``TAIL_FRACTION`` of the energy.
@@ -28,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GaborParams",
@@ -87,8 +91,8 @@ class GaborParams:
             object.__setattr__(self, "grid_step", self.q0 / 64.0)
         if self.grid_halfwidth is None:
             object.__setattr__(self, "grid_halfwidth", 12.0 * self.q0)
-        if not (self.grid_step > 0.0 and self.grid_halfwidth > 0.0):
-            raise ValueError("grid_step and grid_halfwidth must be positive")
+        if not (0.0 < self.grid_step < math.inf and 0.0 < self.grid_halfwidth < math.inf):
+            raise ValueError("grid_step and grid_halfwidth must be finite and positive")
         if self.mod_order < 0:
             raise ValueError("mod_order must be non-negative")
         if self.shift_order is None:
@@ -134,12 +138,10 @@ def sample_grid(params: GaborParams) -> np.ndarray:
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    # exp(-1/t) is exactly 0.0 in float64 for t <= 1/746; skipping those t keeps
-    # -1/t from overflowing on subnormal t.
-    live = t > 1.0 / 746.0
-    out[live] = np.exp(-1.0 / t[live])
-    return out
+    # exp(-1/t) is exactly 0.0 in float64 for t <= 1/746, so flooring t there
+    # changes no value and keeps -1/t from overflowing on subnormal t; fmax
+    # also sends NaN to the floor.
+    return np.exp(-1.0 / np.fmax(t, 1.0 / 746.0))
 
 
 def smooth_nu(x):
@@ -159,30 +161,18 @@ def smooth_nu(x):
 
 
 def window_g(x, params: GaborParams):
-    """The four-piece window, scaled by q0^(-1/2).
+    """The window, scaled by q0^(-1/2): sin((pi/2) nu((pi/p0 - |x|)/w)).
 
-    Exactly zero for |x| >= pi/p0; sin((pi/2) nu((x + pi/p0)/w)) on the rising
-    edge of width w = transition_width; 1 on the plateau; the matching cosine
-    on the falling edge.
+    w is the transition width. The ramp nu is 0 for |x| >= pi/p0, where the
+    window is exactly zero, and 1 on the plateau |x| <= pi/p0 - w, where it
+    is exactly q0^(-1/2); in between lie the rising edge and its mirror
+    image, sin((pi/2) nu(1 - t)) = cos((pi/2) nu(t)) for the matching t.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    edge = math.pi / params.p0
-    width = params.transition_width
-    out = np.zeros_like(arr)
-
-    inside = (arr > -edge) & (arr < edge)
-    rising = inside & (arr < -edge + width)
-    falling = inside & (arr > edge - width)
-    plateau = inside & ~rising & ~falling
-    out[rising] = np.sin(0.5 * math.pi * smooth_nu((arr[rising] + edge) / width))
-    out[falling] = np.cos(
-        0.5 * math.pi * smooth_nu((arr[falling] - (edge - width)) / width)
-    )
-    out[plateau] = 1.0
-    out *= 1.0 / math.sqrt(params.q0)
-    return float(out[0]) if scalar else out
+    # fmax sends a NaN argument to 0, where the ramp and the window are 0.
+    ramp = smooth_nu(np.fmax((math.pi / params.p0 - np.abs(arr)) / params.transition_width, 0.0))
+    out = np.sin(0.5 * math.pi * ramp) * (1.0 / math.sqrt(params.q0))
+    return float(out) if arr.ndim == 0 else out
 
 
 def weyl_heisenberg_apply(signal, m: int, n: int, params: GaborParams) -> np.ndarray:
@@ -224,14 +214,18 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     Each inner product runs over the L ~ 2*pi/(p0*grid_step) grid samples
     that cover the support of its translate, and the phase is taken relative
     to the segment's first sample, a unit-modulus factor that drops out of
-    |c_mn|^2. All 2S+1 segments of window times signal are formed at once
-    (zero where a segment hangs past a grid edge). Row -m of the phase matrix
-    is the conjugate of row m, so only orders 0..M are built, and every
-    coefficient comes from one product of the (M+1) x L phase matrix with the
-    segments and their conjugates: (M+1)*L*2(2S+1) complex multiply-adds,
-    whatever the grid's half width. The phases exp(-i p0 grid_step m j) factor
-    over j = F*a + b with F = isqrt(L), so they take (M+1)*(F + ceil(L/F))
-    complex exponentials and (M+1)*L products.
+    |c_mn|^2. The window is evaluated on L points once per distinct
+    sub-sample offset of the translates: once when q0 is a multiple of
+    grid_step, twice at a half-integer ratio. Each segment is a slice of the
+    signal padded with zeros (so zero where it hangs past a grid edge), and a
+    real signal stays real. The phases exp(-i p0 grid_step m j) for orders
+    0..M factor over j = F*a + b with F = isqrt(L), so they take
+    (M+1)*(F + ceil(L/F)) complex exponentials and (M+1)*L products; order
+    -m takes the conjugate phase. Every coefficient comes from one real
+    product of the segments (their real parts, then their imaginary parts
+    when the signal has them) with the cosine and sine columns of the
+    L x (M+1) phase table: 2(M+1)*L*(2S+1) real multiply-adds for a real
+    signal and twice that for a complex one, whatever the grid's half width.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
@@ -244,7 +238,8 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     signals too high a truncation order for the grid.
     """
     grid = sample_grid(params)
-    values = np.asarray(signal, dtype=complex)
+    values = np.asarray(signal)
+    values = values.astype(np.result_type(values.dtype, float), copy=False)
     if values.shape != grid.shape:
         raise ValueError(
             f"signal has {values.shape} samples but the grid has {grid.shape}"
@@ -254,41 +249,57 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     if norm_sq <= 0.0:
         raise ValueError("signal must have positive energy")
 
-    # Grid index k (x = k*step, |k| <= half) of every sample that the support
-    # (-edge, edge) of translate n can reach, with one sample spare each side.
+    # Grid index k (x = k*step, |k| <= half) of the first of the L samples
+    # that the support (-edge, edge) of translate n can reach, with one sample
+    # spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step, so
+    # translates with the same sub-sample offset share one window row.
     half = len(grid) // 2
     edge = math.pi / params.p0
     length = math.ceil(2.0 * edge / step) + 3
-    centers = np.arange(-params.shift_order, params.shift_order + 1) * params.q0
-    starts = np.floor((centers - edge) / step).astype(np.int64) - 1
-    indices = starts[:, None] + np.arange(length)
-    on_grid = np.abs(indices) <= half
-    samples = np.where(on_grid, values[np.clip(indices + half, 0, 2 * half)], 0.0)
-    window = window_gain * window_g(indices * step - centers[:, None], params)
-    segments = window * samples
+    shifts = np.arange(-params.shift_order, params.shift_order + 1)
+    starts = np.floor((shifts * params.q0 - edge) / step).astype(np.int64) - 1
+    offsets, row = np.unique(starts - shifts * (params.q0 / step), return_inverse=True)
+    window = window_gain * window_g((offsets[:, None] + np.arange(length)) * step, params)
+    # Segments are row slices of the signal padded by L zeros each side; one
+    # that starts wholly off the grid is clamped onto the padding.
+    padded = np.zeros(len(grid) + 2 * length, dtype=values.dtype)
+    padded[length : length + len(grid)] = values
+    first = np.clip(starts + half + length, 0, len(grid) + length)
+    segments = window[row] * sliding_window_view(padded, length)[first]
+    count = len(segments)
+    if np.iscomplexobj(segments):
+        segments = np.concatenate([segments.real, segments.imag])
 
-    # Orders 0..M only: c_{-m,n} = conj(phases_m @ conj(segment_n)). Phase
-    # exp(-i theta m j) with j = F*a + b is hi[m, a] * lo[m, b].
+    # Phase exp(-i theta m j) for orders 0..M, orders innermost, with
+    # j = F*a + b: hi[a, m] * lo[b, m]. Viewed as reals, its columns are
+    # cos(theta m j) and -sin(theta m j), so one real product gives, for the
+    # real (x) and imaginary (y) parts of each segment, the sums xc, xd, yc,
+    # yd against them; c_m = (xc - yd) + i(xd + yc), and order -m takes the
+    # conjugate phase: c_-m = (xc + yd) + i(yc - xd). A real signal has y = 0.
     theta = params.p0 * step
     orders = np.arange(params.mod_order + 1)
     fine = math.isqrt(length)
     coarse = np.arange((length + fine - 1) // fine) * fine
-    hi = np.exp(-1j * theta * np.outer(orders, coarse))
-    lo = np.exp(-1j * theta * np.outer(orders, np.arange(fine)))
-    phases = (hi[:, :, None] * lo[:, None, :]).reshape(len(orders), -1)[:, :length]
-    count = len(segments)
-    halves = np.abs(step * (phases @ np.concatenate([segments, segments.conj()]).T)) ** 2
-    # Rows -M..M: the conjugate half supplies the negative orders.
-    energies = np.concatenate([halves[:0:-1, count:], halves[:, :count]])
+    hi = np.exp(-1j * theta * np.outer(coarse, orders))
+    lo = np.exp(-1j * theta * np.outer(np.arange(fine), orders))
+    phases = (hi[:, None, :] * lo[None, :, :]).reshape(-1, len(orders))[:length]
+    blocks = step * (segments @ phases.view(float))
+    xc, xd = blocks[:count, 0::2], blocks[:count, 1::2]
+    yc, yd = (blocks[count:, 0::2], blocks[count:, 1::2]) if len(blocks) > count else (0.0, 0.0)
+    plus = (xc - yd) ** 2 + (xd + yc) ** 2
+    minus = (xc + yd) ** 2 + (yc - xd) ** 2
+    # Columns -M..M, one row per translate.
+    energies = np.concatenate([minus[:, :0:-1], plus], axis=1)
 
-    # Outermost rings: both modulation edges of every translate (the one row
-    # twice when M = 0) and every order of the outermost translates (the one
-    # column once when S = 0).
-    outer_columns = [0, -1] if params.shift_order else [0]
+    # Outermost rings: both modulation edges of every translate (the one
+    # column twice when M = 0) and every order of the outermost translates
+    # (the one row once when S = 0).
+    outer_rows = [0, -1] if params.shift_order else [0]
     total = float(np.sum(energies))
-    tail = float(np.sum(energies[[0, -1]]) + np.sum(energies[:, outer_columns]))
+    tail = float(np.sum(energies[:, [0, -1]]) + np.sum(energies[outer_rows]))
     # Both signs of every order past Nyquist; order 0 never is.
-    aliased = float(np.sum(halves[orders * theta > math.pi]))
+    past = orders * theta > math.pi
+    aliased = float(np.sum(plus[:, past]) + np.sum(minus[:, past]))
 
     ratio = total / norm_sq
     target = params.tight_constant * window_gain**2

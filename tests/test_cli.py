@@ -406,6 +406,17 @@ def test_gabor_invalid_params_exit_two(capsys):
     assert "no frame" in err
 
 
+@pytest.mark.parametrize("flag", ["--grid-step", "--halfwidth"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_gabor_non_finite_grid_exits_two(flag, value, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["gabor", flag, value])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite and positive" in err
+
+
 def test_usage_errors_exit_two(frame_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["unknown-command"])

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import framecalc.gabor
+
 from framecalc import (
     GaborParams,
     demo_gabor_params,
@@ -50,6 +52,11 @@ def test_params_validation():
         GaborParams(p0=1.0, q0=2.0)  # q0 < pi/p0
     with pytest.raises(ValueError, match="positive"):
         GaborParams(p0=-1.0, q0=4.0)
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GaborParams(p0=1.0, q0=4.0, grid_step=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            GaborParams(p0=1.0, q0=4.0, grid_halfwidth=bad)
     params = demo_gabor_params()
     assert params.grid_step == params.q0 / 64.0
     assert params.grid_halfwidth == 12.0 * params.q0
@@ -75,6 +82,38 @@ def test_window_plateau_and_shape():
     inside = np.linspace(-edge + 1e-6, edge - 1e-6, 2001)
     values = window_g(inside, params)
     assert np.all(values >= 0.0) and np.all(values <= scale + 1e-15)
+
+
+def _four_piece_window(x, params):
+    """The window written piece by piece: zero, rising sine, plateau, falling cosine."""
+    arr = np.asarray(x, dtype=float)
+    edge = math.pi / params.p0
+    width = params.transition_width
+    out = np.zeros_like(arr)
+    inside = (arr > -edge) & (arr < edge)
+    rising = inside & (arr < -edge + width)
+    falling = inside & (arr > edge - width)
+    plateau = inside & ~rising & ~falling
+    out[rising] = np.sin(0.5 * math.pi * smooth_nu((arr[rising] + edge) / width))
+    out[falling] = np.cos(0.5 * math.pi * smooth_nu((arr[falling] - (edge - width)) / width))
+    out[plateau] = 1.0
+    return out * (1.0 / math.sqrt(params.q0))
+
+
+def test_window_is_symmetric_and_matches_the_four_pieces():
+    for p0, q0 in [(1.0, 4.0), (math.pi, 1.2), (2.0, 2.5), (1.0, math.pi), (1.0, 2.0 * math.pi - 1e-3)]:
+        params = GaborParams(p0=p0, q0=q0)
+        edge = math.pi / p0
+        xs = np.concatenate(
+            [np.linspace(-1.5 * edge, 1.5 * edge, 20_001), [0.0, edge, -edge, np.inf, -np.inf, np.nan]]
+        )
+        values = window_g(xs, params)
+        np.testing.assert_array_equal(window_g(-xs, params), values)
+        ulp = np.spacing(1.0 / math.sqrt(q0))
+        assert np.max(np.abs(values - _four_piece_window(xs, params))) <= 4 * ulp
+        # The rising edge is the same formula, so it agrees bit for bit.
+        rising = xs < -edge + params.transition_width
+        np.testing.assert_array_equal(values[rising], _four_piece_window(xs[rising], params))
 
 
 def test_partition_of_unity():
@@ -216,6 +255,10 @@ def _full_grid_tightness(signal, params, gain=1.0):
         (GaborParams(p0=1.0, q0=4.0, mod_order=106), "real", 1.0, True),
         (GaborParams(p0=math.pi, q0=1.2, mod_order=112), "complex", 1.0, True),
         (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 75, mod_order=124), "complex", 1.0, True),
+        # q0/grid_step = 20*pi is irrational: every translate has its own
+        # sub-sample offset, so its own window row.
+        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), mod_order=40), "complex", 1.0, False),
+        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), grid_halfwidth=2.0), "real", 0.37, True),
     ],
 )
 def test_tightness_matches_full_grid_products(params, probe, gain, warns):
@@ -233,6 +276,37 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     assert report.aliasing_warning == aliasing
     if params.mod_order > 2.0 * math.pi / (params.p0 * params.grid_step):
         assert aliasing
+
+
+def test_real_signal_as_real_or_complex_gives_the_same_report():
+    for params in [demo_gabor_params(), GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5, mod_order=106)]:
+        signal = gabor_probe_signals(params, count=5, seed=17)[0].real
+        real = tightness_check(signal, params)
+        complex_ = tightness_check(signal.astype(np.complex128), params)
+        assert abs(real.ratio - complex_.ratio) <= 1e-15 * real.ratio
+        assert real.truncation_warning == complex_.truncation_warning
+        assert real.aliasing_warning == complex_.aliasing_warning
+
+
+@pytest.mark.parametrize("steps", [64.0, 63.5, 20 * math.pi])
+def test_window_is_evaluated_once_per_sub_sample_offset(monkeypatch, steps):
+    # Translate n samples the window at (offset_n + j)*grid_step, j < L, with
+    # offset_n = start_n - n*q0/grid_step: one offset when q0 is a multiple of
+    # the step, two at a half-integer ratio, one per translate otherwise.
+    params = GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / steps)
+    signal = window_g(sample_grid(params), params)
+    samples = []
+
+    def counting(x, p):
+        samples.append(np.size(x))
+        return window_g(x, p)
+
+    monkeypatch.setattr(framecalc.gabor, "window_g", counting)
+    report = tightness_check(signal, params)
+    length = math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 3
+    rows = {64.0: 1, 63.5: 2}.get(steps, 2 * params.shift_order + 1)
+    assert sum(samples) == rows * length
+    assert report.passed
 
 
 def test_tightness_memory_stays_on_the_window_support():
