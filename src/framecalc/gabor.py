@@ -13,16 +13,18 @@ supported signals the quadrature noise sits far below the 1% acceptance gate
 (``TIGHTNESS_RTOL``) of the tightness check. Each inner product only runs
 over the L ~ 2*pi/(p0*grid_step) samples under its translate's support. The
 window is sampled at L points once per distinct sub-sample offset of the
-translates (once when q0 is a multiple of grid_step), and order -m takes the
-conjugate phase of order m, so the check takes one L x (M+1) phase table
-(16*(M+1)*L bytes), built from (M+1)*(F + ceil(L/F)) complex exponentials
-with F = isqrt(L), and one real matrix product of the 2S+1 support segments
-with its cosine and sine columns: 2(M+1)*L*(2S+1) real multiply-adds for a
-real signal and twice that for a complex one, independent of the grid's half
-width. Modulation orders past the grid's Nyquist frequency
-(|m|*p0*grid_step > pi) alias onto orders within it and are counted again;
-the report carries an aliasing warning when they hold more than
-``TAIL_FRACTION`` of the energy.
+translates (once when q0 is a multiple of grid_step). Each segment folds
+about its midpoint into the sums and the differences of its samples paired
+across it, over H = ceil(L/2) offsets, and orders m and -m share one pair of
+cosine and sine sums. So the check takes one H x (M+1) table of cosines and
+sines (16*(M+1)*H bytes), built from (F + ceil(H/F))*(G + ceil((M+1)/G))
+complex exponentials with F = isqrt(H) and G = isqrt(M+1), and two real
+matrix products of the 2S+1 folded segments with its columns:
+2H*(M+1)*(2S+1), about (M+1)*L*(2S+1), real multiply-adds for a real signal
+and twice that for a complex one, independent of the grid's half width.
+Modulation orders past the grid's Nyquist frequency (|m|*p0*grid_step > pi)
+alias onto orders within it and are counted again; the report carries an
+aliasing warning when they hold more than ``TAIL_FRACTION`` of the energy.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "GaborParams",
@@ -131,17 +133,39 @@ class TightnessReport:
         )
 
 
+def _half_count(params: GaborParams) -> int:
+    """Grid points on each side of zero: the grid has 2*half_count + 1."""
+    return int(round(params.grid_halfwidth / params.grid_step))
+
+
 def sample_grid(params: GaborParams) -> np.ndarray:
     """Uniform sampling grid, symmetric about zero."""
-    half_count = int(round(params.grid_halfwidth / params.grid_step))
+    half_count = _half_count(params)
     return np.arange(-half_count, half_count + 1) * params.grid_step
+
+
+def unit_powers(theta: float, rows: int, cols: int, start: float = 0.0) -> np.ndarray:
+    """exp(i*theta*(start + j)*m) for j < rows (axis 0) and m < cols (axis 1).
+
+    Both indices factor, j = F*a + b and m = G*c + d with F = isqrt(rows)
+    and G = isqrt(cols), so the table takes (F + ceil(rows/F)) *
+    (G + ceil(cols/G)) complex exponentials and two complex products per
+    entry. Every angle is theta times an exact product (start an integer or
+    half-integer), rounded once.
+    """
+    fine, narrow = math.isqrt(rows), math.isqrt(cols)
+    js = np.concatenate((np.arange(0, rows, fine), np.arange(start, start + fine)))
+    ms = np.concatenate((np.arange(0, cols, narrow), np.arange(narrow)))
+    exps = np.exp(1j * theta * np.multiply.outer(js, ms))
+    powers = (exps[:, :-narrow, None] * exps[:, None, -narrow:]).reshape(len(js), -1)[:, :cols]
+    return (powers[:-fine, None] * powers[None, -fine:]).reshape(-1, cols)[:rows]
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
     # exp(-1/t) is exactly 0.0 in float64 for t <= 1/746, so flooring t there
-    # changes no value and keeps -1/t from overflowing on subnormal t; fmax
-    # also sends NaN to the floor.
-    return np.exp(-1.0 / np.fmax(t, 1.0 / 746.0))
+    # changes no value and keeps -1/t from overflowing on subnormal t; maximum
+    # passes NaN through, and NaN arithmetic raises no warning.
+    return np.exp(-1.0 / np.maximum(t, 1.0 / 746.0))
 
 
 def smooth_nu(x):
@@ -153,11 +177,9 @@ def smooth_nu(x):
     e^-1, so it needs no case split.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     rising = _bump(arr)
     out = rising / (rising + _bump(1.0 - arr))
-    return float(out[0]) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def window_g(x, params: GaborParams):
@@ -212,19 +234,24 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
 
     Each inner product runs over the L ~ 2*pi/(p0*grid_step) grid samples
-    that cover the support of its translate, and the phase is taken relative
-    to the segment's first sample, a unit-modulus factor that drops out of
-    |c_mn|^2. The window is evaluated on L points once per distinct
-    sub-sample offset of the translates: once when q0 is a multiple of
-    grid_step, twice at a half-integer ratio. Each segment is a slice of the
-    signal padded with zeros (so zero where it hangs past a grid edge), and a
-    real signal stays real. The phases exp(-i p0 grid_step m j) for orders
-    0..M factor over j = F*a + b with F = isqrt(L), so they take
-    (M+1)*(F + ceil(L/F)) complex exponentials and (M+1)*L products; order
-    -m takes the conjugate phase. Every coefficient comes from one real
-    product of the segments (their real parts, then their imaginary parts
-    when the signal has them) with the cosine and sine columns of the
-    L x (M+1) phase table: 2(M+1)*L*(2S+1) real multiply-adds for a real
+    that cover the support of its translate. The window is evaluated on L
+    points once per distinct sub-sample offset of the translates: once when
+    q0 is a multiple of grid_step, twice at a half-integer ratio. Each
+    segment is a slice of the signal padded with zeros (so zero where it
+    hangs past a grid edge), and a real signal stays real.
+
+    The phase is taken relative to the segment's midpoint (L-1)/2, a
+    unit-modulus factor that drops out of |c_mn|^2. About it, sample
+    (L-1)/2 + u pairs with (L-1)/2 - u for the H = ceil(L/2) offsets u >= 0
+    (half-integers when L is even; the middle sample of an odd L is in both
+    halves at weight 1/2). Their sum meets cos(p0 grid_step m u) and their
+    difference sin(p0 grid_step m u), and |c_m|^2 + |c_-m|^2 is twice the
+    sum of the four squares these give for the real and imaginary parts, so
+    every energy below is a sum of squares. The H x (M+1) table of both
+    columns for orders 0..M takes (F + ceil(H/F))*(G + ceil((M+1)/G))
+    complex exponentials with F = isqrt(H) and G = isqrt(M+1) (see
+    ``unit_powers``) and 16*(M+1)*H bytes; the two real products with it
+    take 2H*(M+1)*(2S+1), about (M+1)*L*(2S+1), multiply-adds for a real
     signal and twice that for a complex one, whatever the grid's half width.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
@@ -237,15 +264,15 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     aliasing warning when the orders past the Nyquist frequency do, which
     signals too high a truncation order for the grid.
     """
-    grid = sample_grid(params)
     values = np.asarray(signal)
     values = values.astype(np.result_type(values.dtype, float), copy=False)
-    if values.shape != grid.shape:
-        raise ValueError(
-            f"signal has {values.shape} samples but the grid has {grid.shape}"
-        )
+    half = _half_count(params)
+    if values.shape != (2 * half + 1,):
+        raise ValueError(f"signal has {values.shape} samples but the grid has {(2 * half + 1,)}")
+    # Sums of squares without the grid step: the signal's energy carries one
+    # factor of it, each squared coefficient two.
     step = params.grid_step
-    norm_sq = step * float(np.sum(np.abs(values) ** 2))
+    norm_sq = float(np.vdot(values, values).real)
     if norm_sq <= 0.0:
         raise ValueError("signal must have positive energy")
 
@@ -253,55 +280,48 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # that the support (-edge, edge) of translate n can reach, with one sample
     # spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step, so
     # translates with the same sub-sample offset share one window row.
-    half = len(grid) // 2
     edge = math.pi / params.p0
     length = math.ceil(2.0 * edge / step) + 3
     shifts = np.arange(-params.shift_order, params.shift_order + 1)
     starts = np.floor((shifts * params.q0 - edge) / step).astype(np.int64) - 1
     offsets, row = np.unique(starts - shifts * (params.q0 / step), return_inverse=True)
     window = window_gain * window_g((offsets[:, None] + np.arange(length)) * step, params)
-    # Segments are row slices of the signal padded by L zeros each side; one
-    # that starts wholly off the grid is clamped onto the padding.
-    padded = np.zeros(len(grid) + 2 * length, dtype=values.dtype)
-    padded[length : length + len(grid)] = values
-    first = np.clip(starts + half + length, 0, len(grid) + length)
-    segments = window[row] * sliding_window_view(padded, length)[first]
-    count = len(segments)
-    if np.iscomplexobj(segments):
-        segments = np.concatenate([segments.real, segments.imag])
+    # Segments are slices of the signal's real (and imaginary) part padded by
+    # L zeros each side; one that starts wholly off the grid is clamped onto
+    # the padding.
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    padded = np.zeros((len(parts), len(values) + 2 * length))
+    padded[:, length:-length] = parts
+    first = np.minimum(np.maximum(starts + half + length, 0), len(values) + length)
+    shape = (len(parts), len(values) + length + 1, length)
+    windows = as_strided(padded, shape, (*padded.strides, padded.strides[1]), writeable=False)
+    segments = windows[:, first] * window[row]
 
-    # Phase exp(-i theta m j) for orders 0..M, orders innermost, with
-    # j = F*a + b: hi[a, m] * lo[b, m]. Viewed as reals, its columns are
-    # cos(theta m j) and -sin(theta m j), so one real product gives, for the
-    # real (x) and imaginary (y) parts of each segment, the sums xc, xd, yc,
-    # yd against them; c_m = (xc - yd) + i(xd + yc), and order -m takes the
-    # conjugate phase: c_-m = (xc + yd) + i(yc - xd). A real signal has y = 0.
+    # Fold each segment about its midpoint (L-1)/2: sample (L-1)/2 + u pairs
+    # with (L-1)/2 - u for u = u0 + i, i < H, where u0 = 1/2 for even L and 0
+    # for odd L, whose middle sample is in both halves.
+    upper, lower = segments[..., length // 2 :], segments[..., (length - 1) // 2 :: -1]
+    folded = np.stack((upper + lower, upper - lower))
     theta = params.p0 * step
     orders = np.arange(params.mod_order + 1)
-    fine = math.isqrt(length)
-    coarse = np.arange((length + fine - 1) // fine) * fine
-    hi = np.exp(-1j * theta * np.outer(coarse, orders))
-    lo = np.exp(-1j * theta * np.outer(np.arange(fine), orders))
-    phases = (hi[:, None, :] * lo[None, :, :]).reshape(-1, len(orders))[:length]
-    blocks = step * (segments @ phases.view(float))
-    xc, xd = blocks[:count, 0::2], blocks[:count, 1::2]
-    yc, yd = (blocks[count:, 0::2], blocks[count:, 1::2]) if len(blocks) > count else (0.0, 0.0)
-    plus = (xc - yd) ** 2 + (xd + yc) ** 2
-    minus = (xc + yd) ** 2 + (yc - xd) ** 2
-    # Columns -M..M, one row per translate.
-    energies = np.concatenate([minus[:, :0:-1], plus], axis=1)
+    phases = unit_powers(theta, upper.shape[-1], len(orders), 0.5 * (1 - length % 2))
+    tables = np.stack((phases.real, phases.imag))
+    tables[0, 0] *= 0.5 ** (length % 2)  # the middle sample's weight 1/2
+    blocks = folded @ tables[:, None]
+
+    # sums[n, m] = (|c_mn|^2 + |c_-mn|^2)/2 for m >= 1 and |c_0n|^2 for m = 0.
+    sums = np.square(blocks, out=blocks).reshape(-1, len(shifts), len(orders)).sum(axis=0)
+    per_shift = sums @ np.where(orders, 2.0, 1.0)
 
     # Outermost rings: both modulation edges of every translate (the one
     # column twice when M = 0) and every order of the outermost translates
     # (the one row once when S = 0).
-    outer_rows = [0, -1] if params.shift_order else [0]
-    total = float(np.sum(energies))
-    tail = float(np.sum(energies[:, [0, -1]]) + np.sum(energies[outer_rows]))
+    total = float(per_shift.sum())
+    tail = float(2.0 * sums[:, -1].sum() + per_shift[list({0, len(shifts) - 1})].sum())
     # Both signs of every order past Nyquist; order 0 never is.
-    past = orders * theta > math.pi
-    aliased = float(np.sum(plus[:, past]) + np.sum(minus[:, past]))
+    aliased = float(2.0 * sums[:, orders * theta > math.pi].sum())
 
-    ratio = total / norm_sq
+    ratio = step * total / norm_sq
     target = params.tight_constant * window_gain**2
     return TightnessReport(
         ratio=ratio,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, alpha_frame, analysis, frame_operator, frame_spectrum, proposition1_check
-from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, window_g
+from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, unit_powers, window_g
 
 __all__ = [
     "CheckResult",
@@ -110,21 +110,26 @@ def demo_gabor_params() -> GaborParams:
 def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
     """Seeded smooth test signals, well supported inside the grid.
 
-    Each is a pair of Gaussian bumps with centers within 2*q0 of the origin;
-    one of them carries a slow complex modulation for coverage.
+    Each is a real pair of Gaussian bumps with centers within 2*q0 of the
+    origin; the last carries a slow complex modulation exp(0.2i*x) for
+    coverage, taken as powers of exp(0.2i*grid_step) from about 3*sqrt(G)
+    complex exponentials on a grid of G points.
     """
     grid = sample_grid(params)
     rng = np.random.default_rng(seed)
     signals = []
     for index in range(count):
-        values = np.zeros_like(grid, dtype=complex)
+        values = np.zeros_like(grid)
         for _ in range(2):
             center = rng.uniform(-2.0 * params.q0, 2.0 * params.q0)
             width = rng.uniform(0.6, 1.3) * params.q0
             amplitude = rng.uniform(0.5, 1.5)
             values += amplitude * np.exp(-((grid - center) ** 2) / (2.0 * width**2))
         if index == count - 1:
-            values = values * np.exp(1j * 0.2 * grid)
+            # Powers k = 0..half of exp(0.2i*grid_step), mirrored as their
+            # conjugates onto the negative half of the symmetric grid.
+            powers = unit_powers(0.2 * params.grid_step, 1, len(grid) // 2 + 1, start=1)[0]
+            values = values * np.concatenate((powers[:0:-1].conj(), powers))
         signals.append(values)
     return signals
 

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_frame
 
+import framecalc
 import framecalc.cli as cli
 from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
@@ -389,6 +394,25 @@ def test_gabor_failed_tightness_exits_one(capsys):
     report = json.loads(out)
     assert report["relative_error"] > 0.01 and report["truncation_warning"] is True
     assert err.startswith("tightness failed: ") and err.count("\n") == 1
+
+
+def _framecalc_child(*argv):
+    # A fresh interpreter with every warning an error, as `python -W error -m
+    # framecalc` runs for a user, importing the package under test.
+    source = str(Path(framecalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error", "-m", "framecalc", *argv]
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_gabor_child_process_exit_codes():
+    passed = _framecalc_child("gabor")
+    assert passed.returncode == 0 and passed.stderr == ""
+    assert json.loads(passed.stdout)["relative_error"] <= 0.01
+    aliased = _framecalc_child("gabor", "--M", "140")
+    assert aliased.returncode == 1 and json.loads(aliased.stdout)["aliasing_warning"] is True
+    assert aliased.stderr.startswith("tightness failed: ") and aliased.stderr.count("\n") == 1
 
 
 def test_gabor_unallocatable_grid_exits_two(capsys):

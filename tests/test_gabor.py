@@ -38,6 +38,14 @@ def test_smooth_nu_is_silent_on_subnormal_inputs():
     assert smooth_nu(5e-324) == 0.0
 
 
+def test_smooth_nu_passes_nan_through_silently():
+    # 0/0 would raise "invalid value", an error under tier-1's filterwarnings.
+    assert math.isnan(smooth_nu(math.nan))
+    values = smooth_nu(np.array([np.nan, 0.5, 2.0]))
+    assert np.isnan(values[0]) and values[1] == pytest.approx(0.5, abs=1e-15) and values[2] == 1.0
+    assert window_g(math.nan, demo_gabor_params()) == 0.0
+
+
 def test_smooth_nu_monotone_and_bounded():
     xs = np.linspace(-0.5, 1.5, 4001)
     values = smooth_nu(xs)
@@ -212,6 +220,23 @@ def test_tightness_rejects_zero_signal_and_bad_shape():
         tightness_check(np.zeros(7), params)
 
 
+def _support_length(params):
+    return math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 3
+
+
+@pytest.mark.parametrize("params", [demo_gabor_params(), GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 128, grid_halfwidth=96.0)])
+def test_probe_carrier_matches_the_direct_exponential(params):
+    grid = sample_grid(params)
+    # The one probe of count=1 is the first probe of count=2 times the carrier.
+    bumps = gabor_probe_signals(params, count=2, seed=5)[0]
+    modulated = gabor_probe_signals(params, count=1, seed=5)[0]
+    assert bumps.dtype == np.float64 and modulated.dtype == np.complex128
+    assert len(grid) in (1537, 6145)
+    held = bumps > 1e-200
+    carrier = modulated[held] / bumps[held]
+    assert np.max(np.abs(carrier - np.exp(1j * 0.2 * grid[held]))) <= 1e-14
+
+
 def _full_grid_tightness(signal, params, gain=1.0):
     """The full-grid form of the check: one (2M+1) x G product per translate."""
     grid = sample_grid(params)
@@ -232,35 +257,41 @@ def _full_grid_tightness(signal, params, gain=1.0):
     return ratio, bool(tail > TAIL_FRACTION * total), bool(aliased > TAIL_FRACTION * total)
 
 
-@pytest.mark.parametrize(
-    "params, probe, gain, warns",
-    [
-        (demo_gabor_params(), "window", 1.0, False),
-        # q0 off the grid
-        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5), "real", 1.0, False),
-        (GaborParams(p0=math.pi, q0=1.2, grid_step=1.2 / 63.5), "complex", 1.0, False),
-        (GaborParams(p0=1.0, q0=4.0, shift_order=0), "window", 1.0, True),
-        (GaborParams(p0=1.0, q0=4.0, shift_order=5), "real", 1.0, False),
-        (GaborParams(p0=1.0, q0=4.0, mod_order=0), "real", 1.0, True),
-        (GaborParams(p0=1.0, q0=4.0, mod_order=1), "window", 1.0, True),
-        # the window hangs past both grid edges
-        (GaborParams(p0=1.0, q0=4.0, grid_halfwidth=2.0), "window", 1.0, True),
-        (GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5, mod_order=3), "complex", 1.0, True),
-        (GaborParams(p0=2.0, q0=2.5, mod_order=30), "real", 0.37, False),
-        (GaborParams(p0=0.5, q0=8.0, mod_order=40), "complex", 1.0, False),
-        # About 2.1x the Nyquist order (50, 53 and 58): the sum folds over the
-        # spectrum twice, so the outermost orders alias onto low ones and both
-        # warnings are raised. The support spans L = 104 and 110 samples,
-        # which are not squares, and 121.
-        (GaborParams(p0=1.0, q0=4.0, mod_order=106), "real", 1.0, True),
-        (GaborParams(p0=math.pi, q0=1.2, mod_order=112), "complex", 1.0, True),
-        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 75, mod_order=124), "complex", 1.0, True),
-        # q0/grid_step = 20*pi is irrational: every translate has its own
-        # sub-sample offset, so its own window row.
-        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), mod_order=40), "complex", 1.0, False),
-        (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), grid_halfwidth=2.0), "real", 0.37, True),
-    ],
-)
+FULL_GRID_CASES = [
+    (demo_gabor_params(), "window", 1.0, False),
+    # q0 off the grid
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5), "real", 1.0, False),
+    (GaborParams(p0=math.pi, q0=1.2, grid_step=1.2 / 63.5), "complex", 1.0, False),
+    (GaborParams(p0=1.0, q0=4.0, shift_order=0), "window", 1.0, True),
+    (GaborParams(p0=1.0, q0=4.0, shift_order=5), "real", 1.0, False),
+    (GaborParams(p0=1.0, q0=4.0, mod_order=0), "real", 1.0, True),
+    (GaborParams(p0=1.0, q0=4.0, mod_order=1), "window", 1.0, True),
+    # the window hangs past both grid edges
+    (GaborParams(p0=1.0, q0=4.0, grid_halfwidth=2.0), "window", 1.0, True),
+    (GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5, mod_order=3), "complex", 1.0, True),
+    (GaborParams(p0=2.0, q0=2.5, mod_order=30), "real", 0.37, False),
+    (GaborParams(p0=0.5, q0=8.0, mod_order=40), "complex", 1.0, False),
+    # About 2.1x the Nyquist order (50, 53 and 58): the sum folds over the
+    # spectrum twice, so the outermost orders alias onto low ones and both
+    # warnings are raised. The folded segments span H = 52, 55 and 61
+    # offsets, none of them a square.
+    (GaborParams(p0=1.0, q0=4.0, mod_order=106), "real", 1.0, True),
+    (GaborParams(p0=math.pi, q0=1.2, mod_order=112), "complex", 1.0, True),
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 75, mod_order=124), "complex", 1.0, True),
+    # q0/grid_step = 20*pi is irrational: every translate has its own
+    # sub-sample offset, so its own window row.
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), mod_order=40), "complex", 1.0, False),
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), grid_halfwidth=2.0), "real", 0.37, True),
+]
+
+
+def test_full_grid_cases_fold_segments_of_both_parities():
+    # An even support length folds onto half-integer offsets, an odd one puts
+    # its middle sample in both halves.
+    assert {_support_length(case[0]) % 2 for case in FULL_GRID_CASES} == {0, 1}
+
+
+@pytest.mark.parametrize("params, probe, gain, warns", FULL_GRID_CASES)
 def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     grid = sample_grid(params)
     if probe == "window":
@@ -268,6 +299,7 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     else:
         signals = gabor_probe_signals(params, count=5, seed=17)
         signal = signals[-1] if probe == "complex" else signals[0]
+        assert signal.dtype == (np.complex128 if probe == "complex" else np.float64)
         assert np.any(signal.imag) == (probe == "complex")
     report = tightness_check(signal, params, window_gain=gain)
     ratio, warning, aliasing = _full_grid_tightness(signal, params, gain)
@@ -276,6 +308,30 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     assert report.aliasing_warning == aliasing
     if params.mod_order > 2.0 * math.pi / (params.p0 * params.grid_step):
         assert aliasing
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        demo_gabor_params(),  # L = 104
+        GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5),  # L = 103
+        GaborParams(p0=math.pi, q0=1.2, mod_order=112),  # past Nyquist, both warnings
+    ],
+)
+def test_reversal_and_conjugation_leave_the_report_unchanged(params):
+    # The window is even and the grid, the orders and the translates are
+    # symmetric, so f(-x) has coefficients c_{-m,-n} and conj(f) has
+    # conj(c_{-m,n}): the same energy in every ring.
+    for signal in gabor_probe_signals(params, count=2, seed=11):
+        report = tightness_check(signal, params)
+        variants = [signal[::-1]]
+        if np.iscomplexobj(signal):
+            variants += [signal.conj(), signal[::-1].conj()]
+        for variant in variants:
+            other = tightness_check(variant, params)
+            assert abs(other.ratio - report.ratio) <= 1e-14 * report.ratio
+            assert other.truncation_warning == report.truncation_warning
+            assert other.aliasing_warning == report.aliasing_warning
 
 
 def test_real_signal_as_real_or_complex_gives_the_same_report():
@@ -303,7 +359,7 @@ def test_window_is_evaluated_once_per_sub_sample_offset(monkeypatch, steps):
 
     monkeypatch.setattr(framecalc.gabor, "window_g", counting)
     report = tightness_check(signal, params)
-    length = math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 3
+    length = _support_length(params)
     rows = {64.0: 1, 63.5: 2}.get(steps, 2 * params.shift_order + 1)
     assert sum(samples) == rows * length
     assert report.passed
