@@ -8,12 +8,18 @@ sin^2 + cos^2 makes sum_k |g(x - k q0)|^2 = 1/q0 exact up to rounding. That
 partition identity is what makes the modulated-translate family
 {exp(i m p0 x) g(x - n q0)} tight with frame constant 2*pi/(p0*q0).
 
+The window costs transcendental work only on its transition band; it is
+exactly 0 off its support and exactly q0^(-1/2) on its plateau.
+
 Inner products are trapezoidal sums on a uniform grid; with smooth, well
 supported signals the quadrature noise sits far below the 1% acceptance gate
-(``TIGHTNESS_RTOL``) of the tightness check. Each inner product only runs
-over the L ~ 2*pi/(p0*grid_step) samples under its translate's support. The
-window is sampled at L points once per distinct sub-sample offset of the
-translates (once when q0 is a multiple of grid_step). Each segment folds
+(``TIGHTNESS_RTOL``) of the tightness check. The check refuses a signal with
+a non-finite sample and takes every energy on a copy scaled by the power of
+two of the signal's peak, so its report is the same for f and 2^k f. Each
+inner product only runs over the L ~ 2*pi/(p0*grid_step) samples under its
+translate's support. The window is sampled at L points once per distinct
+sub-sample offset of the translates (once when q0 is a multiple of
+grid_step). Each segment folds
 about its midpoint into the sums and the differences of its samples paired
 across it, over H = ceil(L/2) offsets, and orders m and -m share one pair of
 cosine and sine sums. So the check takes one H x (M+1) table of cosines and
@@ -33,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "GaborParams",
@@ -185,15 +190,22 @@ def smooth_nu(x):
 def window_g(x, params: GaborParams):
     """The window, scaled by q0^(-1/2): sin((pi/2) nu((pi/p0 - |x|)/w)).
 
-    w is the transition width. The ramp nu is 0 for |x| >= pi/p0, where the
-    window is exactly zero, and 1 on the plateau |x| <= pi/p0 - w, where it
-    is exactly q0^(-1/2); in between lie the rising edge and its mirror
-    image, sin((pi/2) nu(1 - t)) = cos((pi/2) nu(t)) for the matching t.
+    w is the transition width. The ramp argument t = (pi/p0 - |x|)/w is at
+    most 0 for |x| >= pi/p0, where the window is exactly zero, and at least 1
+    on the plateau |x| <= pi/p0 - w, where it is exactly q0^(-1/2); between
+    them lie the rising edge and its mirror image, sin((pi/2) nu(1 - t)) =
+    cos((pi/2) nu(t)) for the matching t. The ramp and the sine run only on
+    that transition band 0 < t < 1: outside it nu is exactly 0 or 1 and
+    sin(pi/2) rounds to 1, so the two constants are the formula's values.
     """
     arr = np.asarray(x, dtype=float)
-    # fmax sends a NaN argument to 0, where the ramp and the window are 0.
-    ramp = smooth_nu(np.fmax((math.pi / params.p0 - np.abs(arr)) / params.transition_width, 0.0))
-    out = np.sin(0.5 * math.pi * ramp) * (1.0 / math.sqrt(params.q0))
+    scale = 1.0 / math.sqrt(params.q0)
+    ramp = (math.pi / params.p0 - np.abs(arr)) / params.transition_width
+    # A NaN ramp compares false either way, so the window is 0 there.
+    plateau = ramp >= 1.0
+    out = np.where(plateau, scale, 0.0)
+    band = (ramp > 0.0) ^ plateau  # 0 < ramp < 1
+    out[band] = np.sin(0.5 * math.pi * smooth_nu(ramp[band])) * scale
     return float(out) if arr.ndim == 0 else out
 
 
@@ -240,6 +252,12 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     segment is a slice of the signal padded with zeros (so zero where it
     hangs past a grid edge), and a real signal stays real.
 
+    A signal with a NaN or infinite sample raises ``ValueError``. The padded
+    copy is the signal scaled by the power of two of its peak, an exact
+    factor that the ratio cancels, and every energy is taken on it: no sum of
+    squares over- or underflows, and scaling the signal by 2^k changes no bit
+    of the report while its peak and samples stay normal floats.
+
     The phase is taken relative to the segment's midpoint (L-1)/2, a
     unit-modulus factor that drops out of |c_mn|^2. About it, sample
     (L-1)/2 + u pairs with (L-1)/2 - u for the H = ceil(L/2) offsets u >= 0
@@ -265,14 +283,30 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     signals too high a truncation order for the grid.
     """
     values = np.asarray(signal)
-    values = values.astype(np.result_type(values.dtype, float), copy=False)
     half = _half_count(params)
     if values.shape != (2 * half + 1,):
         raise ValueError(f"signal has {values.shape} samples but the grid has {(2 * half + 1,)}")
+    step = params.grid_step
+    edge = math.pi / params.p0
+    length = math.ceil(2.0 * edge / step) + 3
+
+    # The signal, padded by L zeros each side, as one buffer of its real (and
+    # imaginary) parts, scaled by the power of two of their peak: an exact
+    # factor that the ratio cancels and that keeps every sum of squares below
+    # clear of overflow and underflow.
+    parts = 2 if np.iscomplexobj(values) else 1
+    padded = np.zeros(len(values) + 2 * length, complex if parts == 2 else float)
+    scaled = padded[length:-length]
+    scaled[:] = values
+    flat = scaled.view(float)
+    # max and min both return NaN when any part is NaN.
+    peak = float(max(flat.max(), -flat.min()))
+    if not math.isfinite(peak):
+        raise ValueError("signal must be finite")
+    np.ldexp(flat, -math.frexp(peak)[1], out=flat)
     # Sums of squares without the grid step: the signal's energy carries one
     # factor of it, each squared coefficient two.
-    step = params.grid_step
-    norm_sq = float(np.vdot(values, values).real)
+    norm_sq = float(np.vdot(scaled, scaled).real)
     if norm_sq <= 0.0:
         raise ValueError("signal must have positive energy")
 
@@ -280,34 +314,32 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # that the support (-edge, edge) of translate n can reach, with one sample
     # spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step, so
     # translates with the same sub-sample offset share one window row.
-    edge = math.pi / params.p0
-    length = math.ceil(2.0 * edge / step) + 3
     shifts = np.arange(-params.shift_order, params.shift_order + 1)
-    starts = np.floor((shifts * params.q0 - edge) / step).astype(np.int64) - 1
-    offsets, row = np.unique(starts - shifts * (params.q0 / step), return_inverse=True)
-    window = window_gain * window_g((offsets[:, None] + np.arange(length)) * step, params)
-    # Segments are slices of the signal's real (and imaginary) part padded by
-    # L zeros each side; one that starts wholly off the grid is clamped onto
-    # the padding.
-    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
-    padded = np.zeros((len(parts), len(values) + 2 * length))
-    padded[:, length:-length] = parts
-    first = np.minimum(np.maximum(starts + half + length, 0), len(values) + length)
-    shape = (len(parts), len(values) + length + 1, length)
-    windows = as_strided(padded, shape, (*padded.strides, padded.strides[1]), writeable=False)
-    segments = windows[:, first] * window[row]
+    starts = np.floor((shifts * params.q0 - edge) / step) - 1
+    offsets = {}
+    row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
+    window = window_gain * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
+    # Segments are slices of each part, read as rows of a sliding view; one
+    # that starts wholly off the grid is clamped onto the padding.
+    first = np.minimum(np.maximum(starts + (half + length), 0), len(values) + length).astype(np.intp)
+    shape = (parts, len(values) + length + 1, length)
+    windows = np.ndarray(shape, float, padded, 0, (flat.itemsize, padded.itemsize, padded.itemsize))
+    segments = windows[:, first]
+    segments *= window[row]
 
     # Fold each segment about its midpoint (L-1)/2: sample (L-1)/2 + u pairs
     # with (L-1)/2 - u for u = u0 + i, i < H, where u0 = 1/2 for even L and 0
     # for odd L, whose middle sample is in both halves.
     upper, lower = segments[..., length // 2 :], segments[..., (length - 1) // 2 :: -1]
-    folded = np.stack((upper + lower, upper - lower))
+    folded = np.empty((2, *upper.shape))
+    np.add(upper, lower, out=folded[0])
+    np.subtract(upper, lower, out=folded[1])
     theta = params.p0 * step
     orders = np.arange(params.mod_order + 1)
     phases = unit_powers(theta, upper.shape[-1], len(orders), 0.5 * (1 - length % 2))
-    tables = np.stack((phases.real, phases.imag))
+    tables = np.array([phases.real, phases.imag])
     tables[0, 0] *= 0.5 ** (length % 2)  # the middle sample's weight 1/2
-    blocks = folded @ tables[:, None]
+    blocks = folded.reshape(2, -1, upper.shape[-1]) @ tables
 
     # sums[n, m] = (|c_mn|^2 + |c_-mn|^2)/2 for m >= 1 and |c_0n|^2 for m = 0.
     sums = np.square(blocks, out=blocks).reshape(-1, len(shifts), len(orders)).sum(axis=0)
@@ -315,11 +347,13 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
 
     # Outermost rings: both modulation edges of every translate (the one
     # column twice when M = 0) and every order of the outermost translates
-    # (the one row once when S = 0).
+    # (the one row once when S = 0; the slice's step picks the first and the
+    # last).
     total = float(per_shift.sum())
-    tail = float(2.0 * sums[:, -1].sum() + per_shift[list({0, len(shifts) - 1})].sum())
-    # Both signs of every order past Nyquist; order 0 never is.
-    aliased = float(2.0 * sums[:, orders * theta > math.pi].sum())
+    tail = float(2.0 * sums[:, -1].sum() + per_shift[:: max(len(shifts) - 1, 1)].sum())
+    # Both signs of every order past Nyquist, a suffix of the orders; order 0
+    # never is.
+    aliased = float(2.0 * sums[:, np.searchsorted(orders * theta, math.pi, "right") :].sum())
 
     ratio = step * total / norm_sq
     target = params.tight_constant * window_gain**2

@@ -113,24 +113,32 @@ def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
     Each is a real pair of Gaussian bumps with centers within 2*q0 of the
     origin; the last carries a slow complex modulation exp(0.2i*x) for
     coverage, taken as powers of exp(0.2i*grid_step) from about 3*sqrt(G)
-    complex exponentials on a grid of G points.
+    complex exponentials on a grid of G points. All 2*count bumps are one
+    broadcast over a (2*count, G) array.
     """
     grid = sample_grid(params)
-    rng = np.random.default_rng(seed)
-    signals = []
-    for index in range(count):
-        values = np.zeros_like(grid)
-        for _ in range(2):
-            center = rng.uniform(-2.0 * params.q0, 2.0 * params.q0)
-            width = rng.uniform(0.6, 1.3) * params.q0
-            amplitude = rng.uniform(0.5, 1.5)
-            values += amplitude * np.exp(-((grid - center) ** 2) / (2.0 * width**2))
-        if index == count - 1:
-            # Powers k = 0..half of exp(0.2i*grid_step), mirrored as their
-            # conjugates onto the negative half of the symmetric grid.
-            powers = unit_powers(0.2 * params.grid_step, 1, len(grid) // 2 + 1, start=1)[0]
-            values = values * np.concatenate((powers[:0:-1].conj(), powers))
-        signals.append(values)
+    # Center, width and amplitude of each bump in turn, each drawn as
+    # Generator.uniform draws it: low + (high - low) * a standard uniform.
+    low = np.array([-2.0 * params.q0, 0.6, 0.5])
+    high = np.array([2.0 * params.q0, 1.3, 1.5])
+    draws = low + (high - low) * np.random.default_rng(seed).random((2 * count, 3))
+    center, amplitude = draws[:, 0, None], draws[:, 2, None]
+    # Squared as Python floats: pow can round apart from numpy's square, and
+    # the seeded probes are fixed reference signals.
+    spread = np.array([2.0 * (width * params.q0) ** 2 for width in draws[:, 1].tolist()])[:, None]
+    # In place, and freed once paired: one (2*count, G) array at a time.
+    bumps = grid - center
+    np.square(bumps, out=bumps)
+    bumps /= -spread
+    np.exp(bumps, out=bumps)
+    bumps *= amplitude
+    bumps = bumps[0::2] + bumps[1::2]
+    signals = list(bumps)
+    if signals:
+        # Powers k = 0..half of exp(0.2i*grid_step), mirrored as their
+        # conjugates onto the negative half of the symmetric grid.
+        powers = unit_powers(0.2 * params.grid_step, 1, len(grid) // 2 + 1, start=1)[0]
+        signals[-1] = signals[-1] * np.concatenate((powers[:0:-1].conj(), powers))
     return signals
 
 

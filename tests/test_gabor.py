@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from framecalc import (
     weyl_heisenberg_apply,
     window_g,
 )
-from framecalc.gabor import TAIL_FRACTION, TIGHTNESS_RTOL, TightnessReport
+from framecalc.gabor import TAIL_FRACTION, TIGHTNESS_RTOL, TightnessReport, unit_powers
 
 
 def test_smooth_nu_boundary_values():
@@ -108,14 +109,32 @@ def _four_piece_window(x, params):
     return out * (1.0 / math.sqrt(params.q0))
 
 
+def _ramp_argument(x, params):
+    return np.fmax((math.pi / params.p0 - np.abs(x)) / params.transition_width, 0.0)
+
+
+def _plain_window(x, params):
+    """The window's formula at every point, with no split at the transition band."""
+    ramp = smooth_nu(_ramp_argument(np.asarray(x, dtype=float), params))
+    return np.sin(0.5 * math.pi * ramp) * (1.0 / math.sqrt(params.q0))
+
+
 def test_window_is_symmetric_and_matches_the_four_pieces():
     for p0, q0 in [(1.0, 4.0), (math.pi, 1.2), (2.0, 2.5), (1.0, math.pi), (1.0, 2.0 * math.pi - 1e-3)]:
         params = GaborParams(p0=p0, q0=q0)
         edge = math.pi / p0
-        xs = np.concatenate(
-            [np.linspace(-1.5 * edge, 1.5 * edge, 20_001), [0.0, edge, -edge, np.inf, -np.inf, np.nan]]
-        )
+        # Points a few ulps either side of the plateau's edge, where the ramp
+        # argument rounds to exactly 1, and of the support's, where it is 0.
+        bounds = (edge - params.transition_width, edge)
+        near = np.concatenate([bound + np.arange(-4, 5) * np.spacing(bound) for bound in bounds])
+        full = sample_grid(GaborParams(p0=p0, q0=q0, grid_step=q0 / 128, grid_halfwidth=24 * q0))
+        assert len(full) == 6145
+        specials = [0.0, edge, -edge, np.inf, -np.inf, np.nan, 5e-324]
+        xs = np.concatenate([np.linspace(-1.5 * edge, 1.5 * edge, 20_001), specials, near, full])
+        assert {0.0, 1.0} <= set(_ramp_argument(near, params))
         values = window_g(xs, params)
+        # The band-only evaluation is the formula, bit for bit.
+        np.testing.assert_array_equal(values, _plain_window(xs, params))
         np.testing.assert_array_equal(window_g(-xs, params), values)
         ulp = np.spacing(1.0 / math.sqrt(q0))
         assert np.max(np.abs(values - _four_piece_window(xs, params))) <= 4 * ulp
@@ -220,6 +239,41 @@ def test_tightness_rejects_zero_signal_and_bad_shape():
         tightness_check(np.zeros(7), params)
 
 
+def test_tightness_refuses_non_finite_signals():
+    params = demo_gabor_params()
+    real = window_g(sample_grid(params), params)
+    complex_ = gabor_probe_signals(params, count=1, seed=3)[0]
+    assert complex_.dtype == np.complex128
+    middle = len(real) // 2
+    for signal in (real, complex_):
+        for bad in (math.nan, math.inf, -math.inf):
+            broken = signal.copy()
+            broken[middle] = bad
+            with pytest.raises(ValueError, match="signal must be finite"):
+                tightness_check(broken, params)
+    for bad in (complex(1.0, math.nan), complex(0.0, math.inf)):
+        broken = complex_.copy()
+        broken[middle] = bad
+        with pytest.raises(ValueError, match="signal must be finite"):
+            tightness_check(broken, params)
+
+
+def test_scaling_by_a_power_of_two_leaves_the_report_unchanged():
+    # Peaks near 1e-301 and 1e301: the energies are taken on a copy scaled
+    # back by the power of two of the peak, so nothing over- or underflows.
+    params = demo_gabor_params()
+    window = window_g(sample_grid(params), params)
+    probe = gabor_probe_signals(params, count=2, seed=3)[-1]
+    assert probe.dtype == np.complex128
+    for signal in (window, probe):
+        report = tightness_check(signal, params)
+        assert report.passed
+        for k in (-1000, -500, 0, 500, 1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert tightness_check(signal * 2.0**k, params) == report
+
+
 def _support_length(params):
     return math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 3
 
@@ -235,6 +289,39 @@ def test_probe_carrier_matches_the_direct_exponential(params):
     held = bumps > 1e-200
     carrier = modulated[held] / bumps[held]
     assert np.max(np.abs(carrier - np.exp(1j * 0.2 * grid[held]))) <= 1e-14
+
+
+def _looped_probes(params, count, seed):
+    """The probes bump by bump: the reference for the broadcast form."""
+    grid = sample_grid(params)
+    rng = np.random.default_rng(seed)
+    signals = []
+    for _ in range(count):
+        values = np.zeros_like(grid)
+        for _ in range(2):
+            center = rng.uniform(-2.0 * params.q0, 2.0 * params.q0)
+            width = rng.uniform(0.6, 1.3) * params.q0
+            amplitude = rng.uniform(0.5, 1.5)
+            values += amplitude * np.exp(-((grid - center) ** 2) / (2.0 * width**2))
+        signals.append(values)
+    powers = unit_powers(0.2 * params.grid_step, 1, len(grid) // 2 + 1, start=1)[0]
+    signals[-1] = signals[-1] * np.concatenate((powers[:0:-1].conj(), powers))
+    return signals
+
+
+@pytest.mark.parametrize("params", [demo_gabor_params(), GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 128, grid_halfwidth=96.0)])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_probes_match_the_bump_by_bump_loop(params, count):
+    assert len(sample_grid(params)) in (1537, 6145)
+    # Seeds 1580 and 781 draw a width (q0 = 4) in the first and in the second
+    # probe whose square rounds apart under pow and under multiplication.
+    for seed in (0, 781, 1580):
+        signals = gabor_probe_signals(params, count=count, seed=seed)
+        expected = _looped_probes(params, count, seed)
+        assert len(signals) == count
+        for signal, reference in zip(signals, expected):
+            assert signal.dtype == reference.dtype
+            np.testing.assert_array_equal(signal, reference)
 
 
 def _full_grid_tightness(signal, params, gain=1.0):
