@@ -398,8 +398,6 @@ def run_convergence(
     rule = _RULES[scheme]
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     n_max = _check_order(n_max)
-    if samples < 0:
-        raise ValueError("samples must be non-negative")
     if scheme is Scheme.BINOMIAL_HALF and not binomial_bounds(lower, upper, n_max).convergent:
         raise ValueError(
             f"BinomialHalf requires B < 3A: bounds ({lower}, {upper}) violate "

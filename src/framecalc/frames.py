@@ -321,7 +321,10 @@ def commuting_scale(frame: Frame, scale_op) -> Frame:
 
 def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
     """Probe vectors as columns: ``samples`` seeded unit vectors, then every
-    eigenvector of the frame operator."""
+    eigenvector of the frame operator. ``samples`` must be a non-negative
+    integer; ``ValueError`` otherwise."""
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 0:
+        raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
     rng = np.random.default_rng(seed)
     columns = []
     while len(columns) < samples:

@@ -8,29 +8,9 @@ sin^2 + cos^2 makes sum_k |g(x - k q0)|^2 = 1/q0 exact up to rounding. That
 partition identity is what makes the modulated-translate family
 {exp(i m p0 x) g(x - n q0)} tight with frame constant 2*pi/(p0*q0).
 
-The window costs transcendental work only on its transition band; it is
-exactly 0 off its support and exactly q0^(-1/2) on its plateau.
-
-Inner products are trapezoidal sums on a uniform grid; with smooth, well
-supported signals the quadrature noise sits far below the 1% acceptance gate
-(``TIGHTNESS_RTOL``) of the tightness check. The check refuses a signal with
-a non-finite sample and takes every energy on a copy scaled by the power of
-two of the signal's peak, so its report is the same for f and 2^k f. Each
-inner product only runs over the L ~ 2*pi/(p0*grid_step) samples under its
-translate's support. The window is sampled at L points once per distinct
-sub-sample offset of the translates (once when q0 is a multiple of
-grid_step). Each segment folds
-about its midpoint into the sums and the differences of its samples paired
-across it, over H = ceil(L/2) offsets, and orders m and -m share one pair of
-cosine and sine sums. So the check takes one H x (M+1) table of cosines and
-sines (16*(M+1)*H bytes), built from (F + ceil(H/F))*(G + ceil((M+1)/G))
-complex exponentials with F = isqrt(H) and G = isqrt(M+1), and two real
-matrix products of the 2S+1 folded segments with its columns:
-2H*(M+1)*(2S+1), about (M+1)*L*(2S+1), real multiply-adds for a real signal
-and twice that for a complex one, independent of the grid's half width.
-Modulation orders past the grid's Nyquist frequency (|m|*p0*grid_step > pi)
-alias onto orders within it and are counted again; the report carries an
-aliasing warning when they hold more than ``TAIL_FRACTION`` of the energy.
+How the window is evaluated is in ``window_g``'s docstring; the quadrature,
+the signal checks, the warnings and the cost of the tightness check are in
+``tightness_check``'s.
 """
 
 from __future__ import annotations
@@ -46,7 +26,6 @@ __all__ = [
     "sample_grid",
     "smooth_nu",
     "tightness_check",
-    "weyl_heisenberg_apply",
     "window_g",
 ]
 
@@ -122,6 +101,10 @@ class GaborParams:
 
 @dataclass(frozen=True)
 class TightnessReport:
+    """Outcome of ``tightness_check``, whose docstring defines the ratio, the
+    target and the two warnings; relative_error is |ratio - target|/target.
+    The five fields are the keys that ``framecalc gabor`` prints."""
+
     ratio: float
     target: float
     relative_error: float
@@ -209,54 +192,26 @@ def window_g(x, params: GaborParams):
     return float(out) if arr.ndim == 0 else out
 
 
-def weyl_heisenberg_apply(signal, m: int, n: int, params: GaborParams) -> np.ndarray:
-    """Modulate by exp(i m p0 x) and translate by n q0 on the sampling grid.
-
-    q0 must be an integer multiple of grid_step so the translation lands on
-    grid points; samples shifted in from outside the grid are zero.
-    """
-    grid = sample_grid(params)
-    values = np.asarray(signal)
-    if values.shape != grid.shape:
-        raise ValueError(
-            f"signal has {values.shape} samples but the grid has {grid.shape}"
-        )
-    steps_exact = params.q0 / params.grid_step
-    steps = int(round(steps_exact))
-    if abs(steps_exact - steps) > 1e-9 * max(1.0, abs(steps_exact)):
-        raise ValueError(
-            f"q0 = {params.q0} is not an integer multiple of grid_step = {params.grid_step}"
-        )
-    shift = n * steps
-    shifted = np.zeros(len(grid), dtype=complex)
-    if shift == 0:
-        shifted[:] = values
-    elif 0 < shift < len(grid):
-        shifted[shift:] = values[:-shift]
-    elif -len(grid) < shift < 0:
-        shifted[:shift] = values[-shift:]
-    return np.exp(1j * m * params.p0 * grid) * shifted
-
-
 def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> TightnessReport:
     """Compare the truncated coefficient energy with the tight-frame constant.
 
     ratio = sum_{|m|<=M, |n|<=S} |<g_mn, f>|^2 / ||f||^2 with trapezoidal
-    inner products; target = 2*pi/(p0*q0). ``window_gain`` rescales the
-    window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
+    inner products, whose noise on smooth, well supported signals sits far
+    below ``TIGHTNESS_RTOL``; target = 2*pi/(p0*q0). ``window_gain`` rescales
+    the window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
+    ``ValueError`` is raised unless the gain and its target are finite and
+    positive floats, and for a signal with a NaN or infinite sample.
 
-    Each inner product runs over the L ~ 2*pi/(p0*grid_step) grid samples
-    that cover the support of its translate. The window is evaluated on L
-    points once per distinct sub-sample offset of the translates: once when
-    q0 is a multiple of grid_step, twice at a half-integer ratio. Each
-    segment is a slice of the signal padded with zeros (so zero where it
-    hangs past a grid edge), and a real signal stays real.
-
-    A signal with a NaN or infinite sample raises ``ValueError``. The padded
-    copy is the signal scaled by the power of two of its peak, an exact
-    factor that the ratio cancels, and every energy is taken on it: no sum of
-    squares over- or underflows, and scaling the signal by 2^k changes no bit
-    of the report while its peak and samples stay normal floats.
+    Each inner product runs over the L = ceil(2*pi/(p0*grid_step)) + 3 grid
+    samples that cover its translate's support with one to spare each side.
+    The window is evaluated on L points once per distinct sub-sample offset
+    of the translates: once when q0 is a multiple of grid_step, twice at a
+    half-integer ratio. Each segment is a slice of the signal padded with
+    zeros (so zero where it hangs past a grid edge); a real signal stays real.
+    The padded copy is the signal scaled by the power of two of its peak, an
+    exact factor that the ratio cancels, and every energy is taken on it: no
+    sum of squares over- or underflows, and scaling the signal by 2^k changes
+    no bit of the report while its peak and samples stay normal floats.
 
     The phase is taken relative to the segment's midpoint (L-1)/2, a
     unit-modulus factor that drops out of |c_mn|^2. About it, sample
@@ -266,34 +221,33 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     difference sin(p0 grid_step m u), and |c_m|^2 + |c_-m|^2 is twice the
     sum of the four squares these give for the real and imaginary parts, so
     every energy below is a sum of squares. The H x (M+1) table of both
-    columns for orders 0..M takes (F + ceil(H/F))*(G + ceil((M+1)/G))
-    complex exponentials with F = isqrt(H) and G = isqrt(M+1) (see
-    ``unit_powers``) and 16*(M+1)*H bytes; the two real products with it
+    columns for orders 0..M takes 16*(M+1)*H bytes, built from the complex
+    exponentials that ``unit_powers`` counts; the two real products with it
     take 2H*(M+1)*(2S+1), about (M+1)*L*(2S+1), multiply-adds for a real
     signal and twice that for a complex one, whatever the grid's half width.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
-    energy is counted again and the ratio overshoots the target.
-
-    A truncation warning is attached when the outermost modulation or
-    translation ring carries more than ``TAIL_FRACTION`` of the total
-    coefficient energy, which signals insufficient truncation or support; an
-    aliasing warning when the orders past the Nyquist frequency do, which
-    signals too high a truncation order for the grid.
+    energy is counted again and the ratio overshoots the target. The aliasing
+    warning is set when those orders carry more than ``TAIL_FRACTION`` of the
+    coefficient energy, which signals too high a truncation order for the
+    grid; the truncation warning when the outermost modulation or translation
+    ring does, which signals insufficient truncation or support.
     """
     values = np.asarray(signal)
     half = _half_count(params)
     if values.shape != (2 * half + 1,):
         raise ValueError(f"signal has {values.shape} samples but the grid has {(2 * half + 1,)}")
+    # A gain of 2^512 or more has a square past the float range.
+    target = params.tight_constant * window_gain**2 if 0.0 < window_gain < 2.0**512 else math.nan
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"window_gain and its target must be finite and positive, got {window_gain}")
     step = params.grid_step
     edge = math.pi / params.p0
     length = math.ceil(2.0 * edge / step) + 3
 
     # The signal, padded by L zeros each side, as one buffer of its real (and
-    # imaginary) parts, scaled by the power of two of their peak: an exact
-    # factor that the ratio cancels and that keeps every sum of squares below
-    # clear of overflow and underflow.
+    # imaginary) parts.
     parts = 2 if np.iscomplexobj(values) else 1
     padded = np.zeros(len(values) + 2 * length, complex if parts == 2 else float)
     scaled = padded[length:-length]
@@ -327,9 +281,7 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     segments = windows[:, first]
     segments *= window[row]
 
-    # Fold each segment about its midpoint (L-1)/2: sample (L-1)/2 + u pairs
-    # with (L-1)/2 - u for u = u0 + i, i < H, where u0 = 1/2 for even L and 0
-    # for odd L, whose middle sample is in both halves.
+    # Folded offset i < H is u = i + 1/2 for even L and u = i for odd L.
     upper, lower = segments[..., length // 2 :], segments[..., (length - 1) // 2 :: -1]
     folded = np.empty((2, *upper.shape))
     np.add(upper, lower, out=folded[0])
@@ -356,7 +308,6 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     aliased = float(2.0 * sums[:, np.searchsorted(orders * theta, math.pi, "right") :].sum())
 
     ratio = step * total / norm_sq
-    target = params.tight_constant * window_gain**2
     return TightnessReport(
         ratio=ratio,
         target=target,

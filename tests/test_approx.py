@@ -392,6 +392,13 @@ def test_run_convergence_refuses_binomial_beyond_three_to_one():
         run_convergence(frame, Scheme.BINOMIAL_HALF, 1.0, 3.0, 5, 8, 0)
 
 
+@pytest.mark.parametrize("samples", [-1, 2.5, True, "3"])
+def test_run_convergence_refuses_samples_that_are_not_a_non_negative_integer(samples):
+    frame = random_frame(np.random.default_rng(89), 3, 7, 1.0, 2.0)
+    with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+        run_convergence(frame, Scheme.NEUMANN, 1.0, 2.0, 5, samples, 0)
+
+
 def test_run_convergence_random_sweep_bound_dominance():
     rng = np.random.default_rng(97)
     for ratio in (1.5, 3.0, 10.0, 50.0):

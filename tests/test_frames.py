@@ -387,6 +387,15 @@ def test_ill_conditioned_dual_and_bound_check():
     assert proposition1_check(frame, -0.5, 32).passed
 
 
+@pytest.mark.parametrize("samples", [-3, 2.5, True, "3"])
+def test_proposition1_refuses_samples_that_are_not_a_non_negative_integer(samples):
+    # Before the check, -3 ran silently with no random probe at all.
+    frame = Frame(2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+        proposition1_check(frame, -0.5, samples=samples)
+    assert proposition1_check(frame, -0.5, samples=np.int64(3)).samples == 5
+
+
 def test_proposition1_rejects_non_frame():
     with pytest.raises(NotAFrameError):
         proposition1_check(Frame(2, np.array([[1.0, 0.0]])), -0.5, samples=3)

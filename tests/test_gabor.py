@@ -14,7 +14,6 @@ from framecalc import (
     sample_grid,
     smooth_nu,
     tightness_check,
-    weyl_heisenberg_apply,
     window_g,
 )
 from framecalc.gabor import TAIL_FRACTION, TIGHTNESS_RTOL, TightnessReport, unit_powers
@@ -154,35 +153,6 @@ def test_partition_of_unity():
         assert np.max(np.abs(total - 1.0 / q0)) <= 1e-10 / q0
 
 
-def test_weyl_heisenberg_identity_and_shift():
-    params = demo_gabor_params()
-    grid = sample_grid(params)
-    signal = window_g(grid, params)
-    same = weyl_heisenberg_apply(signal, 0, 0, params)
-    np.testing.assert_array_equal(same, signal.astype(complex))
-    shifted = weyl_heisenberg_apply(signal, 0, 1, params)
-    steps = int(round(params.q0 / params.grid_step))
-    np.testing.assert_array_equal(shifted[steps:], signal[:-steps].astype(complex))
-    np.testing.assert_array_equal(shifted[:steps], np.zeros(steps, dtype=complex))
-
-
-def test_weyl_heisenberg_unitary_on_interior_support():
-    params = demo_gabor_params()
-    grid = sample_grid(params)
-    signal = window_g(grid, params)
-    norm_sq = np.sum(np.abs(signal) ** 2)
-    for m, n in [(0, 0), (3, 0), (0, 2), (-5, -3), (17, 4)]:
-        moved = weyl_heisenberg_apply(signal, m, n, params)
-        assert np.sum(np.abs(moved) ** 2) == pytest.approx(norm_sq, rel=1e-12)
-
-
-def test_weyl_heisenberg_rejects_off_grid_translation():
-    params = GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5)
-    grid = sample_grid(params)
-    with pytest.raises(ValueError, match="integer multiple"):
-        weyl_heisenberg_apply(np.zeros_like(grid), 0, 1, params)
-
-
 def test_tightness_on_window_and_probes():
     params = demo_gabor_params()
     target = 2.0 * math.pi / (params.p0 * params.q0)
@@ -256,6 +226,17 @@ def test_tightness_refuses_non_finite_signals():
         broken[middle] = bad
         with pytest.raises(ValueError, match="signal must be finite"):
             tightness_check(broken, params)
+
+
+@pytest.mark.parametrize("gain", [0.0, 1e-200, 1e200, math.inf, math.nan, -1.0])
+def test_tightness_refuses_a_gain_without_a_finite_positive_target(gain):
+    # 0 and 1e-200 give a zero target and 1e200 an infinite one; inf, NaN and
+    # -1 are no gain. None of them may warn on its way to the refusal.
+    params = demo_gabor_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="window_gain"):
+            tightness_check(window_g(sample_grid(params), params), params, window_gain=gain)
 
 
 def test_scaling_by_a_power_of_two_leaves_the_report_unchanged():
