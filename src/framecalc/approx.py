@@ -29,6 +29,7 @@ import numpy as np
 
 from .frames import (
     Frame,
+    _check_count,
     _checked_bounds,
     _checked_frame_bounds,
     _format_float,
@@ -134,13 +135,6 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
-def _check_order(order: int) -> int:
-    order = int(order)
-    if order < 0:
-        raise ValueError(f"series order must be non-negative, got {order}")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Neumann scheme
 # ---------------------------------------------------------------------------
@@ -174,7 +168,7 @@ def neumann_bound(lower: float, upper: float, order: int) -> float:
     """Worst relative reconstruction error of the order-N Neumann dual:
     ((B-A)/(B+A))^(N+1), summed in logs like every bound here."""
     lower, upper = _checked_bounds(lower, upper)
-    order = _check_order(order)
+    order = _check_count("order", order)
     return _exp((order + 1) * _log(0.5 * (upper - lower) / _midpoint(lower, upper)))
 
 
@@ -186,7 +180,7 @@ def neumann_bound(lower: float, upper: float, order: int) -> float:
 def binomial_half_coefficients(order: int) -> np.ndarray:
     """Binomial coefficients C(-1/2, k) for k = 0..order via the recurrence
     C(-1/2, 0) = 1, C(-1/2, k) = C(-1/2, k-1) * (-1/2 - k + 1) / k."""
-    order = _check_order(order)
+    order = _check_count("order", order)
     coeffs = np.empty(order + 1)
     coeffs[0] = 1.0
     for k in range(1, order + 1):
@@ -214,7 +208,7 @@ def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
     and the estimates no longer shrink with N.
     """
     lower, upper = _checked_bounds(lower, upper)
-    order = _check_order(order)
+    order = _check_count("order", order)
     log_power = (order + 1) * _log(0.5 * (upper - lower) / lower)
     tn = _exp(log_power + 0.5 * math.log(_midpoint(lower, upper) / lower))
     head = _exp(log_power + 0.5 * math.log(upper / lower))
@@ -274,7 +268,7 @@ def _exponential_tail(lower: float, upper: float, order: int, ratio_power: float
     the generator, summed in logs so that it underflows to 0.0 and overflows
     to inf instead of raising."""
     lower, upper = _checked_bounds(lower, upper)
-    order = _check_order(order)
+    order = _check_count("order", order)
     log_ratio = math.log(upper / lower)
     return _exp(
         ratio_power * log_ratio + (order + 1) * _log(0.5 * log_ratio) - math.lgamma(order + 2)
@@ -355,7 +349,7 @@ def _partial_sum(
 ) -> tuple[np.ndarray, float]:
     """The order-N partial sum of a scheme's series from ``start``, and the
     scheme's scale, after checking the order and the bounds."""
-    order = _check_order(order)
+    order = _check_count("order", order)
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     for acc in _series(frame, scheme, lower, upper, start, order):
         pass
@@ -397,7 +391,7 @@ def run_convergence(
     scheme = Scheme(scheme)
     rule = _RULES[scheme]
     lower, upper = _checked_frame_bounds(frame, lower, upper)
-    n_max = _check_order(n_max)
+    n_max = _check_count("n_max", n_max)
     if scheme is Scheme.BINOMIAL_HALF and not binomial_bounds(lower, upper, n_max).convergent:
         raise ValueError(
             f"BinomialHalf requires B < 3A: bounds ({lower}, {upper}) violate "

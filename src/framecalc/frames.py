@@ -139,6 +139,13 @@ class BoundCheckReport:
     passed: bool
 
 
+def _check_count(name: str, value) -> int:
+    """A count as an ``int``: a non-negative int or numpy integer, never a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _checked_bounds(lower: float, upper: float) -> tuple[float, float]:
     lower = float(lower)
     upper = float(upper)
@@ -321,10 +328,8 @@ def commuting_scale(frame: Frame, scale_op) -> Frame:
 
 def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
     """Probe vectors as columns: ``samples`` seeded unit vectors, then every
-    eigenvector of the frame operator. ``samples`` must be a non-negative
-    integer; ``ValueError`` otherwise."""
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 0:
-        raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
+    eigenvector of the frame operator."""
+    samples = _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     columns = []
     while len(columns) < samples:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frames import _check_count
+
 __all__ = [
     "GaborParams",
     "TightnessReport",
@@ -49,8 +51,7 @@ class GaborParams:
     width is 2*pi/p0 - q0, exactly the overlap of adjacent translates.
 
     Grid defaults: grid_step = q0/64, grid_halfwidth = 12*q0. mod_order is
-    the modulation truncation (indices -M..M); shift_order defaults to the
-    smallest translation range whose windows cover the whole grid.
+    the modulation truncation M (indices -M..M); S is derived (``shift_order``).
     """
 
     p0: float
@@ -58,7 +59,6 @@ class GaborParams:
     grid_step: float | None = None
     grid_halfwidth: float | None = None
     mod_order: int = 64
-    shift_order: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.p0 > 0.0 and math.isfinite(self.p0)):
@@ -79,14 +79,13 @@ class GaborParams:
             object.__setattr__(self, "grid_halfwidth", 12.0 * self.q0)
         if not (0.0 < self.grid_step < math.inf and 0.0 < self.grid_halfwidth < math.inf):
             raise ValueError("grid_step and grid_halfwidth must be finite and positive")
-        if self.mod_order < 0:
-            raise ValueError("mod_order must be non-negative")
-        if self.shift_order is None:
-            support = math.pi / self.p0
-            cover = int(math.ceil((self.grid_halfwidth + support) / self.q0))
-            object.__setattr__(self, "shift_order", cover)
-        if self.shift_order < 0:
-            raise ValueError("shift_order must be non-negative")
+        _check_count("mod_order", self.mod_order)
+
+    @property
+    def shift_order(self) -> int:
+        """Translation truncation S (indices -S..S): the fewest translates whose
+        supports |x - n*q0| < pi/p0 cover the grid; S >= 1 as q0 < 2*pi/p0."""
+        return math.ceil((self.grid_halfwidth + math.pi / self.p0) / self.q0)
 
     @property
     def transition_width(self) -> float:
@@ -200,7 +199,9 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     below ``TIGHTNESS_RTOL``; target = 2*pi/(p0*q0). ``window_gain`` rescales
     the window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
     ``ValueError`` is raised unless the gain and its target are finite and
-    positive floats, and for a signal with a NaN or infinite sample.
+    positive floats, and for a signal with a NaN or infinite sample. The window
+    is scaled by the gain's mantissa and the ratio by its exact power of two,
+    so relative_error does not depend on the gain's exponent.
 
     Each inner product runs over the L = ceil(2*pi/(p0*grid_step)) + 3 grid
     samples that cover its translate's support with one to spare each side.
@@ -242,6 +243,7 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     target = params.tight_constant * window_gain**2 if 0.0 < window_gain < 2.0**512 else math.nan
     if not 0.0 < target < math.inf:
         raise ValueError(f"window_gain and its target must be finite and positive, got {window_gain}")
+    mantissa, exponent = math.frexp(window_gain)
     step = params.grid_step
     edge = math.pi / params.p0
     length = math.ceil(2.0 * edge / step) + 3
@@ -272,7 +274,7 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     starts = np.floor((shifts * params.q0 - edge) / step) - 1
     offsets = {}
     row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
-    window = window_gain * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
+    window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
     # Segments are slices of each part, read as rows of a sliding view; one
     # that starts wholly off the grid is clamped onto the padding.
     first = np.minimum(np.maximum(starts + (half + length), 0), len(values) + length).astype(np.intp)
@@ -299,19 +301,19 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
 
     # Outermost rings: both modulation edges of every translate (the one
     # column twice when M = 0) and every order of the outermost translates
-    # (the one row once when S = 0; the slice's step picks the first and the
-    # last).
+    # (the slice's step picks the first and the last).
     total = float(per_shift.sum())
-    tail = float(2.0 * sums[:, -1].sum() + per_shift[:: max(len(shifts) - 1, 1)].sum())
+    tail = float(2.0 * sums[:, -1].sum() + per_shift[:: len(shifts) - 1].sum())
     # Both signs of every order past Nyquist, a suffix of the orders; order 0
     # never is.
     aliased = float(2.0 * sums[:, np.searchsorted(orders * theta, math.pi, "right") :].sum())
 
     ratio = step * total / norm_sq
+    scaled_target = params.tight_constant * mantissa**2
     return TightnessReport(
-        ratio=ratio,
+        ratio=math.ldexp(ratio, 2 * exponent),
         target=target,
-        relative_error=abs(ratio - target) / target,
+        relative_error=abs(ratio - scaled_target) / scaled_target,
         truncation_warning=bool(tail > TAIL_FRACTION * total),
         aliasing_warning=bool(aliased > TAIL_FRACTION * total),
     )

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +10,30 @@ from conftest import random_frame, random_unit
 
 from framecalc import (
     Frame,
+    GaborParams,
     NotAFrameError,
     Scheme,
     alpha_frame,
     analysis,
+    binomial_bounds,
+    binomial_half_coefficients,
+    binomial_tight,
     commuting_scale,
     demo_frame_2d,
     demo_frame_3d,
+    demo_gabor_params,
     diagnostics,
     dual_frame,
     eigh,
     frame_from_dict,
     frame_operator,
     frame_to_json,
+    gabor_probe_signals,
     load_frame,
+    log_bound,
+    log_dual,
+    neumann_bound,
+    neumann_dual,
     operator_norm,
     optimal_bounds,
     proposition1_check,
@@ -394,6 +406,36 @@ def test_proposition1_refuses_samples_that_are_not_a_non_negative_integer(sample
     with pytest.raises(ValueError, match="samples must be a non-negative integer"):
         proposition1_check(frame, -0.5, samples=samples)
     assert proposition1_check(frame, -0.5, samples=np.int64(3)).samples == 5
+
+
+# Every count that an entry point takes, with the name its refusal gives.
+COUNT_ENTRY_POINTS = {
+    "run_convergence-n_max": ("n_max", lambda n: run_convergence(demo_frame_2d(), Scheme.NEUMANN, 1.0, 2.0, n, 4, 0)),
+    "run_convergence-samples": ("samples", lambda n: run_convergence(demo_frame_2d(), Scheme.NEUMANN, 1.0, 2.0, 2, n, 0)),
+    "neumann_dual": ("order", lambda n: neumann_dual(demo_frame_2d(), 1.0, 2.0, n)),
+    "log_dual": ("order", lambda n: log_dual(demo_frame_2d(), 1.0, 2.0, n)),
+    "binomial_tight": ("order", lambda n: binomial_tight(demo_frame_2d(), 1.0, 2.0, n)),
+    "neumann_bound": ("order", lambda n: neumann_bound(1.0, 2.0, n)),
+    "binomial_bounds": ("order", lambda n: binomial_bounds(1.0, 2.0, n)),
+    "log_bound": ("order", lambda n: log_bound(1.0, 2.0, n)),
+    "binomial_half_coefficients": ("order", binomial_half_coefficients),
+    "proposition1_check": ("samples", lambda n: proposition1_check(demo_frame_2d(), -0.5, n)),
+    "GaborParams": ("mod_order", lambda n: GaborParams(p0=1.0, q0=4.0, mod_order=n)),
+    "gabor_probe_signals": ("count", lambda n: gabor_probe_signals(demo_gabor_params(), count=n)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_count_is_a_non_negative_integer(entry):
+    # A float was truncated or rounded and a bool read as 1; each is now
+    # refused, as a negative count always was.
+    name, call = COUNT_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (2.5, 1.9, True, -1, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be a non-negative integer, got {bad!r}")):
+                call(bad)
+        call(np.int64(3))
 
 
 def test_proposition1_rejects_non_frame():

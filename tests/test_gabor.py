@@ -72,6 +72,24 @@ def test_params_validation():
     assert params.shift_order >= 12
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        demo_gabor_params(),
+        GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5),
+        GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0),
+        GaborParams(p0=1.0, q0=2.0 * math.pi - 1e-3, grid_halfwidth=1e-3),
+    ],
+)
+def test_shift_order_is_the_smallest_range_that_covers_the_grid(params):
+    # Translate n's support is |x - n*q0| < pi/p0: translate S lies wholly at
+    # or past the grid's edge, translate S - 1 reaches inside it.
+    edge = math.pi / params.p0
+    assert params.shift_order >= 1
+    assert params.shift_order * params.q0 - edge >= params.grid_halfwidth
+    assert (params.shift_order - 1) * params.q0 - edge < params.grid_halfwidth
+
+
 def test_window_support_is_exact():
     params = demo_gabor_params()
     edge = math.pi / params.p0
@@ -255,6 +273,20 @@ def test_scaling_by_a_power_of_two_leaves_the_report_unchanged():
                 assert tightness_check(signal * 2.0**k, params) == report
 
 
+def test_the_window_gain_is_factored_out_as_a_power_of_two():
+    # The window takes the gain's mantissa, so a gain whose ratio and target
+    # are subnormal reports the relative error of its mantissa bit for bit.
+    params = demo_gabor_params()
+    window = window_g(sample_grid(params), params)
+    unit = tightness_check(window, params)
+    tiny = tightness_check(window, params, window_gain=2.0**-531)
+    assert tiny.relative_error == unit.relative_error
+    assert tiny.ratio == math.ldexp(unit.ratio, -1062) and tiny.target == math.ldexp(unit.target, -1062)
+    gain = 1e-160
+    small = tightness_check(window, params, window_gain=gain)
+    assert small.relative_error == tightness_check(window, params, window_gain=math.frexp(gain)[0]).relative_error
+
+
 def _support_length(params):
     return math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 3
 
@@ -330,8 +362,10 @@ FULL_GRID_CASES = [
     # q0 off the grid
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5), "real", 1.0, False),
     (GaborParams(p0=math.pi, q0=1.2, grid_step=1.2 / 63.5), "complex", 1.0, False),
-    (GaborParams(p0=1.0, q0=4.0, shift_order=0), "window", 1.0, True),
-    (GaborParams(p0=1.0, q0=4.0, shift_order=5), "real", 1.0, False),
+    # (grid_halfwidth + pi/p0)/q0 is an integer, 1 and 13: translate S's
+    # support starts exactly at the grid edge.
+    (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=1.0, mod_order=30), "window", 1.0, True),
+    (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0, mod_order=30), "real", 1.0, False),
     (GaborParams(p0=1.0, q0=4.0, mod_order=0), "real", 1.0, True),
     (GaborParams(p0=1.0, q0=4.0, mod_order=1), "window", 1.0, True),
     # the window hangs past both grid edges
