@@ -8,22 +8,33 @@ for modulated-translate systems.
 
 See the demos/ directory for narrative walkthroughs and the ``framecalc``
 command line for file-based workflows.
-"""
 
-from . import approx, frames, gabor, linalg, reference
-from .approx import *  # noqa: F403
-from .frames import *  # noqa: F403
-from .gabor import *  # noqa: F403
-from .linalg import *  # noqa: F403
-from .reference import *  # noqa: F403
+``import framecalc`` loads no layer and not numpy. The first name asked of
+the package that it does not yet hold imports the five layers and binds all
+of their public names and ``__all__``, so that from then on the namespace is
+that of an eager package, while each ``framecalc`` process loads only what
+its subcommand runs.
+"""
 
 __version__ = "0.1.0"
 
-# A name is public exactly when its module lists it.
-__all__ = [
-    *linalg.__all__,
-    *frames.__all__,
-    *approx.__all__,
-    *gabor.__all__,
-    *reference.__all__,
-]
+_LAYERS = ("linalg", "frames", "approx", "gabor", "reference")
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for a name missing from the package globals.
+    import importlib
+
+    namespace = globals()
+    if "__all__" not in namespace:
+        public = {}
+        for layer in _LAYERS:
+            # Not ``from . import``: its fromlist probe would re-enter here.
+            module = importlib.import_module(f"{__name__}.{layer}")
+            public.update((attr, getattr(module, attr)) for attr in module.__all__)
+        namespace.update(public)
+        # A name is public exactly when its module lists it.
+        namespace["__all__"] = list(public)
+    if name in namespace:
+        return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

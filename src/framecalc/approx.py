@@ -21,7 +21,6 @@ checks it against the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
@@ -83,15 +82,13 @@ class BinomialBounds(NamedTuple):
     convergent: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     order: int
     measured_error: float
     analytical_bound: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Measured worst reconstruction error versus analytical bound, per order.
 
     ``samples`` and ``seed`` record how the probe vectors were drawn so runs

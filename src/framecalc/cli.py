@@ -16,11 +16,13 @@ bit-faithfully.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import sys
 
-from .approx import Scheme, run_convergence, write_csv
+# Only ``frames`` is imported here; each subcommand imports the other layers
+# it runs, so a process loads no more than its subcommand needs.
 from .frames import (
     NotAFrameError,
     _format_float,
@@ -32,12 +34,11 @@ from .frames import (
     load_frame,
     optimal_bounds,
 )
-from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, window_g
-from .reference import builtin_checks
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
-SCHEMES = {scheme.value.lower(): scheme for scheme in Scheme}
+# The ``--scheme`` names, each an ``approx.Scheme`` value in lower case.
+SCHEMES = ("binomialhalf", "logarithmic", "neumann")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perturb.add_argument(
         "--scheme",
         required=True,
-        choices=sorted(SCHEMES),
+        choices=SCHEMES,
         type=str.lower,
         help="approximation scheme",
     )
@@ -122,6 +123,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .approx import Scheme, run_convergence, write_csv
+
     frame = load_frame(args.frame)
     lower, upper = args.A, args.B
     if lower is None or upper is None:
@@ -130,7 +133,7 @@ def _cmd_perturb(args) -> int:
         upper = lam_max if upper is None else upper
     report = run_convergence(
         frame,
-        SCHEMES[args.scheme],
+        next(scheme for scheme in Scheme if scheme.value.lower() == args.scheme),
         lower,
         upper,
         n_max=args.N_max,
@@ -151,6 +154,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .reference import builtin_checks
+
     results = builtin_checks()
     width = max(len(result.name) for result in results)
     for result in results:
@@ -162,6 +167,8 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_gabor(args) -> int:
+    from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, window_g
+
     params = GaborParams(
         p0=args.p0,
         q0=args.q0,
@@ -218,5 +225,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point (``python -m framecalc`` and the console script):
+    run ``main`` and exit with its code.
+
+    The process is ending, so the collector is frozen first: its final
+    collections then skip every object alive at that point, numpy's included,
+    instead of walking them, and the operating system reclaims the memory.
+    Usage errors and unexpected exceptions leave ``main`` before the freeze.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,7 @@ class Frame:
         return svd(self.vectors)
 
 
-@dataclass(frozen=True)
-class FrameDiagnostics:
+class FrameDiagnostics(NamedTuple):
     """Spectral health report for a vector family.
 
     ``lambda_min``/``lambda_max`` are the optimal frame bounds when the family
@@ -124,8 +124,7 @@ class FrameDiagnostics:
     inverse_norm: float | None
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
+class BoundCheckReport(NamedTuple):
     """Result of an empirical frame-bound sweep for one power family."""
 
     alpha: float

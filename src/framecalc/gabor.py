@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ class GaborParams:
         return 2.0 * math.pi / (self.p0 * self.q0)
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     """Outcome of ``tightness_check``, whose docstring defines the ratio, the
     target and the two warnings; relative_error is |ratio - target|/target.
     The five fields are the keys that ``framecalc gabor`` prints."""

@@ -11,7 +11,7 @@ the command line runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +146,7 @@ def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
     return signals
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -251,7 +250,7 @@ def builtin_checks() -> list[CheckResult]:
 
     gain = math.sqrt(1.0 / params.tight_constant)
     rescaled = tightness_check(window_g(sample_grid(params), params), params, window_gain=gain)
-    ok = abs(rescaled.ratio - 1.0) <= 0.01 and abs(rescaled.target - 1.0) <= 1e-12
+    ok = rescaled.relative_error <= TIGHTNESS_RTOL and abs(rescaled.target - 1.0) <= 1e-12
     results.append(
         CheckResult(
             "window-parseval-rescale",

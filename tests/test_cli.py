@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -199,7 +200,7 @@ def test_perturb_bound_violation_exits_one(frame_file, capsys, monkeypatch):
             seed=0,
         )
 
-    monkeypatch.setattr(cli, "run_convergence", doctored)
+    monkeypatch.setattr(framecalc.approx, "run_convergence", doctored)
     code, _, err = run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann"])
     assert code == 1
     assert "bound violated" in err
@@ -209,7 +210,7 @@ def test_leftover_arithmetic_error_exits_two(frame_file, capsys, monkeypatch):
     def overflowing(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")
 
-    monkeypatch.setattr(cli, "run_convergence", overflowing)
+    monkeypatch.setattr(framecalc.approx, "run_convergence", overflowing)
     code, out, err = run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -396,14 +397,20 @@ def test_gabor_failed_tightness_exits_one(capsys):
     assert err.startswith("tightness failed: ") and err.count("\n") == 1
 
 
-def _framecalc_child(*argv):
-    # A fresh interpreter with every warning an error, as `python -W error -m
-    # framecalc` runs for a user, importing the package under test.
+def _child(*args):
+    # A fresh interpreter with every warning an error, importing the package
+    # under test.
     source = str(Path(framecalc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    command = [sys.executable, "-W", "error", "-m", "framecalc", *argv]
+    command = [sys.executable, "-W", "error", *args]
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
+def _framecalc_child(*argv, flags=()):
+    # As `python -W error -m framecalc` runs for a user; ``flags`` are further
+    # interpreter options.
+    return _child(*flags, "-m", "framecalc", *argv)
 
 
 def test_gabor_child_process_exit_codes():
@@ -413,6 +420,81 @@ def test_gabor_child_process_exit_codes():
     aliased = _framecalc_child("gabor", "--M", "140")
     assert aliased.returncode == 1 and json.loads(aliased.stdout)["aliasing_warning"] is True
     assert aliased.stderr.startswith("tightness failed: ") and aliased.stderr.count("\n") == 1
+
+
+LIGHT = {"framecalc", "framecalc.cli", "framecalc.frames", "framecalc.linalg"}
+
+
+def _loaded_modules(stderr):
+    """The framecalc modules that ``-X importtime`` reports on stderr."""
+    lines = [line for line in stderr.splitlines() if line.startswith("import time:")]
+    names = {line.rsplit("|", 1)[-1].strip() for line in lines}
+    return {name for name in names if name.split(".")[0] == "framecalc"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["analyze", "FRAME"], set()),
+        (["alpha", "FRAME", "--alpha", "-0.5"], set()),
+        (["dual", "FRAME"], set()),
+        (["analyze", "MALFORMED"], set()),
+        (["perturb", "FRAME", "--scheme", "neumann"], {"framecalc.approx"}),
+        (["gabor"], {"framecalc.gabor"}),
+        (["examples"], {"framecalc.gabor", "framecalc.reference"}),
+    ],
+    ids=["analyze", "alpha", "dual", "malformed", "perturb", "gabor", "examples"],
+)
+def test_each_subcommand_imports_only_the_layers_it_runs(argv, layers, frame_file, tmp_path):
+    malformed = tmp_path / "broken.json"
+    malformed.write_text('{"dim": 2,,}', encoding="utf-8")
+    files = {"FRAME": frame_file, "MALFORMED": str(malformed)}
+    child = _framecalc_child(*[files.get(arg, arg) for arg in argv], flags=("-X", "importtime"))
+    assert child.returncode == (2 if "MALFORMED" in argv else 0)
+    assert _loaded_modules(child.stderr) == LIGHT | layers
+
+
+def test_importing_the_package_loads_no_layer_and_not_numpy():
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] in ('framecalc', 'numpy'))"
+    child = _child("-c", f"import sys, framecalc; print({loaded})")
+    assert child.returncode == 0 and child.stderr == ""
+    assert child.stdout == "['framecalc']\n"
+
+
+def test_child_process_input_and_usage_errors_exit_two(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"dim": 2,,}', encoding="utf-8")
+    malformed = _framecalc_child("analyze", str(path))
+    assert malformed.returncode == 2 and malformed.stdout == ""
+    assert malformed.stderr.startswith("error: malformed JSON: ") and malformed.stderr.count("\n") == 1
+    bogus = _framecalc_child("perturb", str(path), "--scheme", "bogus")
+    assert bogus.returncode == 2 and bogus.stdout == ""
+    assert "invalid choice: 'bogus'" in bogus.stderr
+
+
+def test_schemes_are_the_scheme_values():
+    assert cli.SCHEMES == tuple(sorted(scheme.value.lower() for scheme in Scheme))
+
+
+def test_main_never_freezes_the_collector(frame_file, capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, ["analyze", frame_file])
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_the_collector_then_exits_with_the_code(frame_file, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+    monkeypatch.setattr(sys, "argv", ["framecalc", "analyze", frame_file])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run()
+    assert excinfo.value.code == 0 and len(freezes) == 1
+    # A usage error leaves before the freeze.
+    monkeypatch.setattr(sys, "argv", ["framecalc", "analyze"])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run()
+    assert excinfo.value.code == 2 and len(freezes) == 1
 
 
 def test_gabor_unallocatable_grid_exits_two(capsys):

@@ -1,5 +1,7 @@
 import importlib
 
+import pytest
+
 import framecalc
 
 MODULES = ("linalg", "frames", "approx", "gabor", "reference")
@@ -13,3 +15,15 @@ def test_package_surface_is_the_modules_surfaces():
     for module in modules:
         for name in module.__all__:
             assert getattr(framecalc, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from framecalc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(framecalc.__all__)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        framecalc.no_such_name
