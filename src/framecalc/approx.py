@@ -21,20 +21,12 @@ checks it against the bound.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .frames import (
-    Frame,
-    _check_count,
-    _checked_bounds,
-    _checked_frame_bounds,
-    _format_float,
-    _probes,
-    frame_spectrum,
-)
+from .contract import Scheme, _check_count, _format_float
+from .frames import Frame, _checked_bounds, _checked_frame_bounds, _probes, frame_spectrum
 from .linalg import operator_norm, spectral_function, symmetrize
 
 __all__ = [
@@ -66,12 +58,6 @@ __all__ = [
 # few ulps. These slacks sit orders of magnitude below every stated tolerance.
 BOUND_REL_SLACK = 1e-12
 BOUND_ABS_SLACK = 1e-13
-
-
-class Scheme(Enum):
-    NEUMANN = "Neumann"
-    BINOMIAL_HALF = "BinomialHalf"
-    LOGARITHMIC = "Logarithmic"
 
 
 class BinomialBounds(NamedTuple):

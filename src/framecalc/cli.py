@@ -11,6 +11,10 @@ usage or input errors, an arithmetic or memory error that the inputs provoke
 included.
 Floats in JSON and CSV output carry 17 significant digits so they round-trip
 bit-faithfully.
+
+Only ``contract`` is imported up front. Each subcommand imports the layers it
+runs once its input has been read and checked, so a malformed file, a bad
+schema or a usage error exits 2 without loading numpy or any layer.
 """
 
 from __future__ import annotations
@@ -18,27 +22,11 @@ from __future__ import annotations
 import argparse
 import gc
 import io
-import json
 import sys
 
-# Only ``frames`` is imported here; each subcommand imports the other layers
-# it runs, so a process loads no more than its subcommand needs.
-from .frames import (
-    NotAFrameError,
-    _format_float,
-    _json_object,
-    alpha_frame,
-    diagnostics,
-    frame_spectrum,
-    frame_to_json,
-    load_frame,
-    optimal_bounds,
-)
+from .contract import NotAFrameError, Scheme, _format_float, _json_object, frame_to_json, load_frame
 
 __all__ = ["main", "run"]
-
-# The ``--scheme`` names, each an ``approx.Scheme`` value in lower case.
-SCHEMES = ("binomialhalf", "logarithmic", "neumann")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perturb.add_argument(
         "--scheme",
         required=True,
-        choices=SCHEMES,
+        choices=sorted(scheme.value.lower() for scheme in Scheme),
         type=str.lower,
         help="approximation scheme",
     )
@@ -92,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     frame = load_frame(args.frame)
+    from .frames import diagnostics, frame_spectrum
+
     report = diagnostics(frame)
     pairs = [
         ("dim", frame.dim),
@@ -118,14 +108,17 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_alpha(args) -> int:
     frame = load_frame(args.frame)
+    from .frames import alpha_frame
+
     _emit(frame_to_json(alpha_frame(frame, args.alpha)), args.out)
     return 0
 
 
 def _cmd_perturb(args) -> int:
-    from .approx import Scheme, run_convergence, write_csv
-
     frame = load_frame(args.frame)
+    from .approx import run_convergence, write_csv
+    from .frames import optimal_bounds
+
     lower, upper = args.A, args.B
     if lower is None or upper is None:
         lam_min, lam_max = optimal_bounds(frame)
@@ -217,9 +210,6 @@ def main(argv=None) -> int:
     except NotAFrameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,20 +5,21 @@ frame bounds 0 < A <= B such that A||f||^2 <= sum_i |<phi_i, f>|^2 <= B||f||^2
 for every f. This module provides the analysis/synthesis operators, the frame
 operator S = sum_i phi_i phi_i^T, spectral diagnostics, the full family of
 fractional-power frames {S^alpha phi_i} (dual at alpha = -1, Parseval-tight at
-alpha = -1/2), the generalized reconstruction identities they satisfy, and the
-JSON file format used by the command-line tools.
+alpha = -1/2) and the generalized reconstruction identities they satisfy. The
+frame file format lives in ``contract``; its names are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .contract import NotAFrameError, _check_count, frame_from_dict, frame_to_json, load_frame
 from .linalg import SVD, EigenDecomposition, eigh, spectral_function, svd, symmetrize
 
 __all__ = [
@@ -53,11 +54,7 @@ FRAME_RANK_TOLERANCE = 1e-12
 BOUNDS_RTOL = 1e-9
 
 
-class NotAFrameError(ValueError):
-    """The vector family does not span, or spans too marginally to invert."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """An indexed family of vectors in R^dim, one per row of ``vectors``.
 
@@ -66,6 +63,7 @@ class Frame:
     They need not be optimal. The family must have a frame operator that is
     representable in float64. The synthesis matrix is factored at most once,
     on first use, and every spectral query reads that factorization.
+    Frames compare and hash by identity, as the record holds an array.
     """
 
     dim: int
@@ -136,13 +134,6 @@ class BoundCheckReport(NamedTuple):
     max_identity_residual: float
     tolerance: float
     passed: bool
-
-
-def _check_count(name: str, value) -> int:
-    """A count as an ``int``: a non-negative int or numpy integer, never a bool."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def _checked_bounds(lower: float, upper: float) -> tuple[float, float]:
@@ -232,18 +223,37 @@ def alpha_frame(frame: Frame, alpha: float) -> Frame:
     eigenvalues of its own frame operator: (A^(2a+1), B^(2a+1)) for
     a > -1/2, exactly (1, 1) at a = -1/2, and (B^(2a+1), A^(2a+1)) for
     a < -1/2. Negative powers require the family to actually be a frame.
+    A ``ValueError``, raised before any array is formed, refuses an exponent
+    that takes an extreme eigenvalue of the family's frame operator (the
+    largest only for a non-frame) outside the positive normal floats.
     """
     alpha = float(alpha)
     if alpha < 0.0:
         _frame_bounds(frame, "fractional negative power undefined")
+    is_frame = _is_frame_spectrum(*optimal_bounds(frame))
+    # (s^(2a+1))^2 is monotone in s; a non-frame's smallest s are rounding noise.
+    for value in map(float, frame._svd.singular_values[[0, -1] if is_frame else [-1]]):
+        eigenvalue = _squared_power(value, 2.0 * alpha + 1.0)
+        if value > 0.0 and not sys.float_info.min <= eigenvalue <= sys.float_info.max:
+            moved = f"the frame-operator eigenvalue {value * value!r} to {eigenvalue!r}"
+            raise ValueError(f"alpha = {alpha!r} takes {moved}, outside the positive normal floats")
     factors = frame._svd.power(2.0 * alpha + 1.0)
     right = factors.spectrum.eigenvectors
     family = Frame(frame.dim, (factors.left * factors.singular_values) @ right.T)
     # The family keeps its factorization, and its bounds are proved, not re-validated.
     family.__dict__["_svd"] = factors
-    if _is_frame_spectrum(*optimal_bounds(frame)):
+    if is_frame:
         object.__setattr__(family, "declared_bounds", optimal_bounds(family))
     return family
+
+
+def _squared_power(value: float, exponent: float) -> float:
+    """(value^exponent)^2 in Python floats, as ``SVD.power`` forms it; inf on overflow."""
+    try:
+        root = value**exponent
+    except OverflowError:
+        return math.inf
+    return root * root
 
 
 def dual_frame(frame: Frame) -> Frame:
@@ -337,78 +347,3 @@ def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
         if norm > 1e-12:
             columns.append(v / norm)
     return np.column_stack(columns + [frame_spectrum(frame).eigenvectors])
-
-
-# ---------------------------------------------------------------------------
-# Frame file format: {"dim": n, "vectors": [[...], ...], "bounds": [A, B]}
-# with "bounds" optional. Floats are emitted with 17 significant digits so
-# files round-trip bit-faithfully.
-# ---------------------------------------------------------------------------
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def frame_from_dict(data) -> Frame:
-    """Build a frame from a parsed JSON object, validating the schema."""
-    if not isinstance(data, dict):
-        raise ValueError("frame file must contain a JSON object")
-    missing = {"dim", "vectors"} - set(data)
-    if missing:
-        raise ValueError(f"frame file is missing fields: {sorted(missing)}")
-    unknown = set(data) - {"dim", "vectors", "bounds"}
-    if unknown:
-        raise ValueError(f"frame file has unknown fields: {sorted(unknown)}")
-    dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
-    vectors = data["vectors"]
-    if not isinstance(vectors, list) or not vectors:
-        raise ValueError("'vectors' must be a non-empty list of vectors")
-    for row in vectors:
-        if not isinstance(row, list) or len(row) != dim or not all(map(_is_number, row)):
-            raise ValueError(f"every vector must be a list of {dim} numbers")
-    bounds = None
-    if "bounds" in data and data["bounds"] is not None:
-        raw = data["bounds"]
-        if not isinstance(raw, list) or len(raw) != 2 or not all(map(_is_number, raw)):
-            raise ValueError("'bounds' must be a two-element list of numbers [A, B]")
-        bounds = (float(raw[0]), float(raw[1]))
-    return Frame(dim, np.array(vectors, dtype=float), bounds)
-
-
-def load_frame(path) -> Frame:
-    """Read a frame from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return frame_from_dict(data)
-
-
-def _format_float(x: float) -> str:
-    """17 significant digits: enough for every float64 to round-trip."""
-    return format(float(x), ".17g")
-
-
-def _json_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, float):
-        return _format_float(value)
-    return json.dumps(value)
-
-
-def _json_object(pairs) -> str:
-    """A JSON object with one ``key: value`` pair per line; floats carry 17
-    significant digits and lists stay on their key's line."""
-    body = ",\n".join(f'  "{key}": {_json_value(value)}' for key, value in pairs)
-    return "{\n" + body + "\n}\n"
-
-
-def frame_to_json(frame: Frame) -> str:
-    """Serialize a frame to the JSON file format (17 significant digits)."""
-    pairs = [("dim", frame.dim), ("vectors", frame.vectors.tolist())]
-    if frame.declared_bounds is not None:
-        pairs.append(("bounds", frame.declared_bounds))
-    return _json_object(pairs)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frames import _check_count
+from .contract import _check_count
 
 __all__ = [
     "GaborParams",

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frames import Frame, _check_count, alpha_frame, frame_operator, frame_spectrum, proposition1_check
+from .contract import _check_count
+from .frames import Frame, alpha_frame, frame_operator, frame_spectrum, proposition1_check
 from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, unit_powers, window_g
 
 __all__ = [

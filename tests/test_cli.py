@@ -20,6 +20,10 @@ from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
 from framecalc.reference import expected_power_family_2d
 
 
+# The ``--scheme`` names: each ``Scheme`` value in lower case.
+SCHEME_NAMES = sorted(scheme.value.lower() for scheme in Scheme)
+
+
 @pytest.fixture
 def frame_file(tmp_path):
     path = tmp_path / "frame.json"
@@ -244,6 +248,22 @@ def test_near_overflow_entries_exit_two(argv, tmp_path, capsys):
     assert "overflows float64" in err
 
 
+@pytest.mark.parametrize("alpha", ["1000", "-100000", "1e308"])
+def test_alpha_out_of_float_range_exits_two(alpha, tmp_path, capsys):
+    # The family's largest eigenvalue overflows, its smallest underflows to 0
+    # (which would stamp it with bounds [0, B]), or the power 2 alpha + 1 is inf.
+    path = tmp_path / "demo3.json"
+    path.write_text(frame_to_json(demo_frame_3d()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["alpha", str(path), "--alpha", alpha])
+    assert code == 2 and out == ""
+    assert err.startswith("error: alpha = ") and err.count("\n") == 1
+    assert err.endswith("outside the positive normal floats\n")
+    child = _framecalc_child("alpha", str(path), "--alpha", alpha)
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", err)
+
+
 def test_perturb_logarithmic_high_order(frame_file, capsys):
     code, out, err = run_cli(
         capsys, ["perturb", frame_file, "--scheme", "logarithmic", "--N-max", "200"]
@@ -271,7 +291,7 @@ def test_perturb_logarithmic_at_large_scale(tmp_path, capsys):
     assert len(list(csv.DictReader(out.splitlines()))) == 11
 
 
-@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_perturb_near_the_largest_float(scheme, tmp_path, capsys):
     # S = 1.5e308, so A + B and 2A overflow a float while (A+B)/2 does not.
     path = tmp_path / "top.json"
@@ -283,7 +303,7 @@ def test_perturb_near_the_largest_float(scheme, tmp_path, capsys):
     assert all(float(row["measured_error"]) <= 1e-15 for row in rows)
 
 
-@pytest.mark.parametrize("scheme", sorted(cli.SCHEMES))
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_perturb_refuses_a_non_frame(scheme, tmp_path, capsys):
     # kappa(S) = 1e14 is past the documented 1e12 limit, whatever the bounds.
     path = tmp_path / "ill.json"
@@ -350,7 +370,7 @@ def test_verdicts_and_numbers_are_invariant_under_scaling(make_frame, tmp_path, 
     frame = make_frame()
     commands = [("analyze", None, []), ("dual", -1.0, [])]
     commands += [("alpha", alpha, ["--alpha", str(alpha)]) for alpha in (-0.5, -0.25)]
-    commands += [("perturb", None, ["--scheme", scheme]) for scheme in sorted(cli.SCHEMES)]
+    commands += [("perturb", None, ["--scheme", scheme]) for scheme in SCHEME_NAMES]
     outcomes = {}
     for k in SCALE_EXPONENTS:
         path = tmp_path / f"scaled{k}.json"
@@ -422,36 +442,57 @@ def test_gabor_child_process_exit_codes():
     assert aliased.stderr.startswith("tightness failed: ") and aliased.stderr.count("\n") == 1
 
 
-LIGHT = {"framecalc", "framecalc.cli", "framecalc.frames", "framecalc.linalg"}
+EDGE = {"framecalc", "framecalc.cli", "framecalc.contract"}
+LIGHT = EDGE | {"framecalc.frames", "framecalc.linalg"}
 
 
-def _loaded_modules(stderr):
-    """The framecalc modules that ``-X importtime`` reports on stderr."""
+def _loaded_modules(stderr, package="framecalc"):
+    """The modules of ``package`` that ``-X importtime`` reports on stderr."""
     lines = [line for line in stderr.splitlines() if line.startswith("import time:")]
     names = {line.rsplit("|", 1)[-1].strip() for line in lines}
-    return {name for name in names if name.split(".")[0] == "framecalc"}
+    return {name for name in names if name.split(".")[0] == package}
+
+
+def _importtime_child(argv, frame_file, tmp_path):
+    # A child under ``-X importtime``, with FRAME, MALFORMED and BOOL_DIM in
+    # ``argv`` standing for a valid, a malformed and a bool-``dim`` frame file.
+    malformed = tmp_path / "broken.json"
+    malformed.write_text('{"dim": 2,,}', encoding="utf-8")
+    bool_dim = tmp_path / "bool_dim.json"
+    bool_dim.write_text('{"dim": true, "vectors": [[1.0], [0.5]]}', encoding="utf-8")
+    files = {"FRAME": frame_file, "MALFORMED": str(malformed), "BOOL_DIM": str(bool_dim)}
+    return _framecalc_child(*[files.get(arg, arg) for arg in argv], flags=("-X", "importtime"))
 
 
 @pytest.mark.parametrize(
-    "argv, layers",
+    "argv, modules",
     [
-        (["analyze", "FRAME"], set()),
-        (["alpha", "FRAME", "--alpha", "-0.5"], set()),
-        (["dual", "FRAME"], set()),
-        (["analyze", "MALFORMED"], set()),
-        (["perturb", "FRAME", "--scheme", "neumann"], {"framecalc.approx"}),
-        (["gabor"], {"framecalc.gabor"}),
-        (["examples"], {"framecalc.gabor", "framecalc.reference"}),
+        (["analyze", "FRAME"], LIGHT),
+        (["alpha", "FRAME", "--alpha", "-0.5"], LIGHT),
+        (["dual", "FRAME"], LIGHT),
+        (["analyze", "MALFORMED"], EDGE),
+        (["perturb", "FRAME", "--scheme", "neumann"], LIGHT | {"framecalc.approx"}),
+        (["gabor"], EDGE | {"framecalc.gabor"}),
+        (["examples"], LIGHT | {"framecalc.gabor", "framecalc.reference"}),
     ],
     ids=["analyze", "alpha", "dual", "malformed", "perturb", "gabor", "examples"],
 )
-def test_each_subcommand_imports_only_the_layers_it_runs(argv, layers, frame_file, tmp_path):
-    malformed = tmp_path / "broken.json"
-    malformed.write_text('{"dim": 2,,}', encoding="utf-8")
-    files = {"FRAME": frame_file, "MALFORMED": str(malformed)}
-    child = _framecalc_child(*[files.get(arg, arg) for arg in argv], flags=("-X", "importtime"))
+def test_each_subcommand_imports_only_the_layers_it_runs(argv, modules, frame_file, tmp_path):
+    child = _importtime_child(argv, frame_file, tmp_path)
     assert child.returncode == (2 if "MALFORMED" in argv else 0)
-    assert _loaded_modules(child.stderr) == LIGHT | layers
+    assert _loaded_modules(child.stderr) == modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "MALFORMED"], ["dual", "BOOL_DIM"], ["perturb", "FRAME", "--scheme", "bogus"]],
+    ids=["malformed", "bool-dim", "usage"],
+)
+def test_refused_input_loads_no_layer_and_not_numpy(argv, frame_file, tmp_path):
+    child = _importtime_child(argv, frame_file, tmp_path)
+    assert child.returncode == 2 and child.stdout == ""
+    assert _loaded_modules(child.stderr) == EDGE
+    assert _loaded_modules(child.stderr, "numpy") == set()
 
 
 def test_importing_the_package_loads_no_layer_and_not_numpy():
@@ -472,8 +513,12 @@ def test_child_process_input_and_usage_errors_exit_two(tmp_path):
     assert "invalid choice: 'bogus'" in bogus.stderr
 
 
-def test_schemes_are_the_scheme_values():
-    assert cli.SCHEMES == tuple(sorted(scheme.value.lower() for scheme in Scheme))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+def test_each_scheme_value_selects_its_scheme_in_any_case(scheme, frame_file, capsys):
+    for name in (scheme.value, scheme.value.upper(), scheme.value.lower()):
+        code, out, _ = run_cli(capsys, ["perturb", frame_file, "--scheme", name, "--N-max", "1"])
+        assert code == 0
+        assert {row["scheme"] for row in csv.DictReader(out.splitlines())} == {scheme.value}
 
 
 def test_main_never_freezes_the_collector(frame_file, capsys):

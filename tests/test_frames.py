@@ -43,6 +43,7 @@ from framecalc import (
     symmetrize,
     synthesis,
 )
+from framecalc.contract import _check_count
 from framecalc.reference import expected_power_family_2d, expected_tight_family_3d
 
 SQRT2 = math.sqrt(2.0)
@@ -270,6 +271,39 @@ def test_alpha_frame_rejects_non_frame_for_negative_power():
     # Non-negative powers remain defined for spanning-deficient families.
     family = alpha_frame(flat, 0.5)
     assert family.declared_bounds is None
+
+
+@pytest.mark.parametrize(
+    "make_frame, alpha",
+    [
+        (demo_frame_3d, 1000.0),
+        (demo_frame_3d, -100000.0),
+        (lambda: random_frame(np.random.default_rng(47), 6, 14, 0.3, 30.0), 1e308),
+        (lambda: Frame(2, np.array([[1.0, 0.0], [2.0, 0.0]])), 600.0),
+        (demo_frame_3d, math.nan),
+    ],
+    ids=["overflow", "underflow", "infinite-power", "non-frame-overflow", "nan"],
+)
+def test_alpha_frame_refuses_an_exponent_the_floats_cannot_hold(make_frame, alpha):
+    # The family's frame-operator eigenvalues lambda^(2 alpha + 1) leave the
+    # positive normal floats: refused before any array arithmetic can warn.
+    frame = make_frame()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the positive normal floats"):
+            alpha_frame(frame, alpha)
+
+
+def test_alpha_frame_keeps_a_wide_but_representable_family():
+    # kappa(S) = 1e10 gives a family of kappa 1e20 at alpha = 1/2: past the
+    # frame rule, but every eigenvalue is a normal float, so it is returned.
+    frame = random_frame(np.random.default_rng(53), 6, 12, 1.0, 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = alpha_frame(frame, 0.5)
+        small = alpha_frame(Frame(1, np.array([[1e-50]])), 1.0)
+    assert family.declared_bounds == pytest.approx((1.0, 1e20), rel=1e-6)
+    assert small.declared_bounds == pytest.approx((1e-300, 1e-300), rel=1e-12)
 
 
 def test_dual_frame_special_cases():
@@ -549,6 +583,31 @@ def test_frame_json_bounds_optional():
     assert "bounds" not in text
     parsed = frame_from_dict(json.loads(text))
     assert parsed.declared_bounds is None
+
+
+def test_frame_json_round_trips_signed_zeros():
+    frame = Frame(2, np.array([[-0.0, 1.0], [0.0, -0.0], [1.0, 1.0]]))
+    text = frame_to_json(frame)
+    assert '"vectors": [[-0.0, 1], [0, -0.0], [1, 1]]' in text
+    parsed = frame_from_dict(json.loads(text))
+    assert parsed.vectors.tobytes() == frame.vectors.tobytes()
+
+
+def test_frames_compare_and_hash_by_identity():
+    frame = demo_frame_2d()
+    twin = Frame(frame.dim, frame.vectors)
+    assert frame == frame and frame != twin
+    assert hash(frame) == hash(frame)
+    assert {frame: 1, twin: 2}[twin] == 2
+
+
+def test_count_rule_accepts_exactly_python_and_numpy_integers():
+    # numbers.Integral holds what (int, np.integer) holds, bools aside.
+    for value in (0, 3, np.int64(3), np.uint8(3), np.intp(0)):
+        assert _check_count("n", value) == int(value) and type(_check_count("n", value)) is int
+    for value in (True, np.bool_(True), 2.0, np.float64(2.0), -1, np.int64(-1), "3", None):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            _check_count("n", value)
 
 
 def test_frame_from_dict_validation():
