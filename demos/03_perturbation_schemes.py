@@ -18,9 +18,14 @@ import sys
 from framecalc import (
     Frame,
     Scheme,
+    alpha_frame,
+    binomial_tight,
     demo_frame_2d,
+    dual_frame,
     log_bound,
+    log_dual,
     neumann_bound,
+    neumann_dual,
     run_convergence,
     write_csv,
 )
@@ -40,6 +45,18 @@ def main():
         report = run_convergence(frame, scheme, 1.0, 2.0, n_max=8, samples=32, seed=0)
         show(report)
         print()
+
+    print("approximate families against the exact ones: max deviation at order N")
+    dual, tight = dual_frame(frame).vectors, alpha_frame(frame, -0.5).vectors
+    for order in (0, 4, 8):
+        neumann = abs(neumann_dual(frame, 1.0, 2.0, order).vectors - dual).max()
+        binomial = abs(binomial_tight(frame, 1.0, 2.0, order).vectors - tight).max()
+        logarithmic = abs(log_dual(frame, 1.0, 2.0, order).vectors - dual).max()
+        print(
+            f"  N = {order}: Neumann dual {neumann:.3e}, BinomialHalf tight {binomial:.3e}, "
+            f"logarithmic dual {logarithmic:.3e}"
+        )
+    print()
 
     print("why the logarithmic scheme exists: orders needed for a 1e-6 bound")
     for ratio in (2.0, 10.0, 50.0):

@@ -37,7 +37,6 @@ __all__ = [
     "ConvergenceRow",
     "Scheme",
     "binomial_bounds",
-    "binomial_half_coefficients",
     "binomial_remainder_norm",
     "binomial_tight",
     "bound_satisfied",
@@ -45,7 +44,6 @@ __all__ = [
     "log_dual",
     "log_exact_inverse",
     "log_remainder_norm",
-    "neumann_R",
     "neumann_bound",
     "neumann_dual",
     "run_convergence",
@@ -131,15 +129,9 @@ def _midpoint(lower: float, upper: float) -> float:
 
 
 def _neumann_generator(lower: float, upper: float) -> Callable[[float], float]:
-    """R = I - (2/(A+B)) S as a scalar function of S."""
+    """R = I - (2/(A+B)) S as a scalar function of S; ||R|| <= (B-A)/(B+A)."""
     scale = 1.0 / _midpoint(lower, upper)
     return lambda lam: 1.0 - scale * lam
-
-
-def neumann_R(frame: Frame, lower: float, upper: float) -> np.ndarray:
-    """The remainder operator R = I - (2/(A+B)) S; ||R|| <= (B-A)/(B+A)."""
-    lower, upper = _checked_frame_bounds(frame, lower, upper)
-    return spectral_function(frame_spectrum(frame), _neumann_generator(lower, upper))
 
 
 def neumann_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
@@ -158,17 +150,6 @@ def neumann_bound(lower: float, upper: float, order: int) -> float:
 # ---------------------------------------------------------------------------
 # Binomial square-root scheme
 # ---------------------------------------------------------------------------
-
-
-def binomial_half_coefficients(order: int) -> np.ndarray:
-    """Binomial coefficients C(-1/2, k) for k = 0..order via the recurrence
-    C(-1/2, 0) = 1, C(-1/2, k) = C(-1/2, k-1) * (-1/2 - k + 1) / k."""
-    order = _check_count("order", order)
-    coeffs = np.empty(order + 1)
-    coeffs[0] = 1.0
-    for k in range(1, order + 1):
-        coeffs[k] = coeffs[k - 1] * (-0.5 - k + 1.0) / k
-    return coeffs
 
 
 def binomial_tight(frame: Frame, lower: float, upper: float, order: int) -> Frame:

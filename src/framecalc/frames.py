@@ -316,12 +316,14 @@ def commuting_scale(frame: Frame, scale_op) -> Frame:
     """Rescale the frame by the square root of a commuting positive operator.
 
     The new family {scale_op^(1/2) phi_i} shares its Parseval-tight family
-    with the original frame. ``scale_op`` must be exactly symmetric, positive
-    definite, and commute with the frame operator (Frobenius norm of the
-    commutator within 1e-9 of ||scale_op|| * ||S||).
+    with the original frame. ``scale_op`` must be (dim, dim), exactly symmetric,
+    positive definite, and commute with the frame operator (Frobenius norm of
+    the commutator within 1e-9 of ||scale_op|| * ||S||).
     """
-    decomp = eigh(scale_op)
     scale = np.asarray(scale_op, dtype=float)
+    if scale.shape != (frame.dim, frame.dim):
+        raise ValueError(f"scaling operator shape {scale.shape} != frame operator {(frame.dim,) * 2}")
+    decomp = eigh(scale)
     lam_min = float(decomp.eigenvalues[0])
     lam_max = float(decomp.eigenvalues[-1])
     if not _is_frame_spectrum(lam_min, lam_max):

@@ -23,7 +23,6 @@ __all__ = [
     "SVD",
     "eigh",
     "operator_norm",
-    "spectral_apply",
     "spectral_function",
     "svd",
     "symmetrize",
@@ -105,13 +104,17 @@ def _svd(left: np.ndarray, singular_values: np.ndarray, right: np.ndarray) -> SV
 
 
 def eigh(matrix) -> EigenDecomposition:
-    """Eigendecomposition of an exactly symmetric real matrix."""
+    """Eigendecomposition of an exactly symmetric real matrix whose spectrum
+    is representable in float64."""
     a = _square_finite(matrix)
     if a.shape[0] < 1:
         raise ValueError("operator dimension must be at least 1")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric; build it with symmetrize()")
     eigenvalues, vectors = np.linalg.eigh(a)
+    # LAPACK scales the matrix, so an eigenvalue past the largest float is inf, silently.
+    if not np.all(np.isfinite(eigenvalues)):
+        raise ValueError("the spectrum overflows float64: an eigenvalue exceeds the largest float")
     return EigenDecomposition(_read_only(eigenvalues), _read_only(vectors * _lead_signs(vectors)))
 
 
@@ -145,12 +148,6 @@ def spectral_function(decomp: EigenDecomposition, func: Callable[[float], float]
             raise ValueError(f"spectral function undefined at eigenvalue {lam!r}: {exc}") from exc
         values[k] = value
     return symmetrize((decomp.eigenvectors * values) @ decomp.eigenvectors.T)
-
-
-def spectral_apply(matrix, func: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum
-    (see ``spectral_function``)."""
-    return spectral_function(eigh(matrix), func)
 
 
 def operator_norm(matrix) -> float:

@@ -15,8 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .approx import (binomial_bounds, binomial_remainder_norm, bound_satisfied,
+                     log_exact_inverse, log_remainder_norm, zn_bound)
 from .contract import _check_count
-from .frames import Frame, alpha_frame, frame_operator, frame_spectrum, proposition1_check
+from .frames import (Frame, alpha_frame, commuting_scale, frame_operator, frame_spectrum,
+                     proposition1_check)
 from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, unit_powers, window_g
 
 __all__ = [
@@ -41,11 +44,7 @@ def demo_frame_2d() -> Frame:
     A (1, 2)-frame; its frame operator is [[3, 1], [1, 3]]/2 with eigenvalues
     1 and 2.
     """
-    return Frame(
-        2,
-        np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / SQRT2, 1.0 / SQRT2]]),
-        (1.0, 2.0),
-    )
+    return _basis_plus_diagonal(2)
 
 
 def demo_frame_3d() -> Frame:
@@ -54,22 +53,18 @@ def demo_frame_3d() -> Frame:
     A (1, 2)-frame; its frame operator is [[4, 1, 1], [1, 4, 1], [1, 1, 4]]/3
     with eigenvalues (1, 1, 2).
     """
-    s3 = math.sqrt(3.0)
-    return Frame(
-        3,
-        np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-                [1.0 / s3, 1.0 / s3, 1.0 / s3],
-            ]
-        ),
-        (1.0, 2.0),
-    )
+    return _basis_plus_diagonal(3)
+
+
+def _basis_plus_diagonal(dim: int) -> Frame:
+    """The standard basis of R^dim plus the unit diagonal: S = I + 11^T/dim,
+    with eigenvalues 1 and 2 in every dimension."""
+    diagonal = np.full((1, dim), 1.0 / math.sqrt(dim))
+    return Frame(dim, np.vstack([np.eye(dim), diagonal]), (1.0, 2.0))
 
 
 OPERATOR_2D = np.array([[1.5, 0.5], [0.5, 1.5]])
+INVERSE_2D = np.array([[3.0, -1.0], [-1.0, 3.0]]) / 4.0
 OPERATOR_3D = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 3.0
 
 
@@ -207,6 +202,23 @@ def builtin_checks() -> list[CheckResult]:
             )
         )
 
+    # The paper's operator-level claims at the bounds (1, 2): S^(-1) equals
+    # exp(c R_log)/sqrt(A B), and each truncation operator is within its bound.
+    inverse_dev = _max_deviation(log_exact_inverse(frame2, 1.0, 2.0), INVERSE_2D)
+    record("2d-log-exact-inverse", inverse_dev, 1e-10)
+    for name, norm, bound in (
+        (
+            "2d-binomial-truncation-norm",
+            binomial_remainder_norm,
+            lambda n: binomial_bounds(1.0, 2.0, n).tn_bound,
+        ),
+        ("2d-log-truncation-norm", log_remainder_norm, lambda n: zn_bound(1.0, 2.0, n)),
+    ):
+        pairs = [(norm(frame2, 1.0, 2.0, n), bound(n)) for n in range(11)]
+        worst = max(measured / limit for measured, limit in pairs)
+        ok = all(bound_satisfied(measured, limit) for measured, limit in pairs)
+        results.append(CheckResult(name, ok, f"worst norm/bound {worst:.3e} over N = 0..10"))
+
     frame3 = demo_frame_3d()
     record("3d-frame-operator", _max_deviation(frame_operator(frame3), OPERATOR_3D), 1e-9)
 
@@ -222,6 +234,12 @@ def builtin_checks() -> list[CheckResult]:
     # At alpha = -1/2 the identity residual is each probe's Parseval defect.
     parseval = proposition1_check(frame3, -0.5, samples=100, seed=SEED)
     record("3d-parseval-identity", _worst_violation(parseval), parseval.tolerance)
+
+    # T = S gives the power family at 1/2; the tight family alone matches any commuting T.
+    scaled3 = commuting_scale(frame3, frame_operator(frame3))
+    half_dev = _max_deviation(scaled3.vectors, alpha_frame(frame3, 0.5).vectors)
+    tight_dev = _max_deviation(alpha_frame(scaled3, -0.5).vectors, expected_tight_family_3d())
+    record("3d-commuting-rescale", max(half_dev, tight_dev), 1e-9)
 
     params = demo_gabor_params()
     edge = math.pi / params.p0

@@ -13,23 +13,23 @@ from framecalc import (
     Scheme,
     alpha_frame,
     binomial_bounds,
-    binomial_half_coefficients,
     binomial_remainder_norm,
     binomial_tight,
     bound_satisfied,
     demo_frame_2d,
     dual_frame,
+    eigh,
     frame_operator,
+    frame_spectrum,
     log_bound,
     log_dual,
     log_exact_inverse,
     log_remainder_norm,
-    neumann_R,
     neumann_bound,
     neumann_dual,
     operator_norm,
     run_convergence,
-    spectral_apply,
+    spectral_function,
     symmetrize,
     write_csv,
     zn_bound,
@@ -50,8 +50,13 @@ def scaled_demo_frame(factor):
 # ---------------------------------------------------------------------------
 
 
+def neumann_remainder(frame, lower, upper):
+    """R = I - (2/(A+B)) S, the operator whose powers the Neumann series sums."""
+    return spectral_function(frame_spectrum(frame), _neumann_generator(lower, upper))
+
+
 def test_neumann_remainder_reference():
-    remainder = neumann_R(demo_frame_2d(), 1.0, 2.0)
+    remainder = neumann_remainder(demo_frame_2d(), 1.0, 2.0)
     # Oracle: I - (2/3) * [[3, 1], [1, 3]]/2 worked out by hand.
     np.testing.assert_allclose(
         remainder, np.array([[0.0, -1.0 / 3.0], [-1.0 / 3.0, 0.0]]), atol=1e-15
@@ -60,19 +65,33 @@ def test_neumann_remainder_reference():
 
 
 def test_neumann_remainder_tight_frames():
-    np.testing.assert_array_equal(neumann_R(ORTHONORMAL, 1.0, 1.0), np.zeros((3, 3)))
+    np.testing.assert_array_equal(neumann_remainder(ORTHONORMAL, 1.0, 1.0), np.zeros((3, 3)))
     tight = Frame(2, 2.0 * np.eye(2))
-    np.testing.assert_allclose(neumann_R(tight, 4.0, 4.0), np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(neumann_remainder(tight, 4.0, 4.0), np.zeros((2, 2)), atol=1e-15)
 
 
-def test_neumann_remainder_rejects_invalid_bounds():
+# Every entry point of the approx layer that takes a frame and its bounds.
+BOUNDED_ENTRY_POINTS = {
+    "neumann_dual": lambda frame, a, b: neumann_dual(frame, a, b, 2),
+    "binomial_tight": lambda frame, a, b: binomial_tight(frame, a, b, 2),
+    "log_dual": lambda frame, a, b: log_dual(frame, a, b, 2),
+    "run_convergence": lambda frame, a, b: run_convergence(frame, Scheme.NEUMANN, a, b, 2, 4, 0),
+    "log_exact_inverse": log_exact_inverse,
+    "binomial_remainder_norm": lambda frame, a, b: binomial_remainder_norm(frame, a, b, 2),
+    "log_remainder_norm": lambda frame, a, b: log_remainder_norm(frame, a, b, 2),
+}
+
+
+@pytest.mark.parametrize("entry", BOUNDED_ENTRY_POINTS)
+def test_every_bounded_entry_point_refuses_invalid_bounds(entry):
+    call = BOUNDED_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match="do not enclose"):
-        neumann_R(demo_frame_2d(), 1.2, 2.0)
+        call(demo_frame_2d(), 1.2, 2.0)
     # kappa(S) = 1e14: bounds that enclose the spectrum do not make it a frame.
     with pytest.raises(NotAFrameError, match="not a frame"):
-        neumann_R(Frame(2, np.array([[1.0, 0.0], [0.0, 1e-7]])), 1e-14, 1.0)
+        call(Frame(2, np.array([[1.0, 0.0], [0.0, 1e-7]])), 1e-14, 1.0)
     with pytest.raises(ValueError, match="0 < A <= B"):
-        neumann_R(demo_frame_2d(), 0.0, 2.0)
+        call(demo_frame_2d(), 0.0, 2.0)
 
 
 def test_neumann_bound_values():
@@ -109,11 +128,13 @@ def test_neumann_dual_converges_to_dual():
 
 
 def test_binomial_coefficients_against_closed_form():
-    # Oracle: C(-1/2, k) = (-1/4)^k * C(2k, k), exact in binary arithmetic.
-    coeffs = binomial_half_coefficients(20)
-    for k in range(21):
-        expected = (-0.25) ** k * math.comb(2 * k, k)
-        assert coeffs[k] == pytest.approx(expected, rel=1e-14)
+    # The series sums (-1)^k C(-1/2, k) R^k, whose coefficients are the running
+    # products of the rule's weights. Oracle: (-1)^k C(-1/2, k) = C(2k, k)/4^k.
+    weight = _RULES[Scheme.BINOMIAL_HALF].weight
+    coeff = 1.0
+    for k in range(1, 21):
+        coeff *= weight(k)
+        assert coeff == pytest.approx(math.comb(2 * k, k) / 4.0**k, rel=1e-14)
 
 
 def test_binomial_tight_zeroth_order_scaling():
@@ -228,7 +249,7 @@ def test_log_scale_is_exact_and_never_overflows():
         frame = scaled_demo_frame(factor**2)  # spectrum [f^2, 2 f^2]
         lower, upper = factor**2, 2.0 * factor**2
         found = log_exact_inverse(frame, lower, upper)
-        exact = spectral_apply(frame_operator(frame), lambda lam: 1.0 / lam)
+        exact = spectral_function(eigh(frame_operator(frame)), lambda lam: 1.0 / lam)
         assert operator_norm(symmetrize(found - exact)) <= 1e-12 * operator_norm(exact)
 
 
@@ -262,7 +283,7 @@ def test_log_exact_inverse_matches_spectral_inverse_in_all_regimes():
     ]
     for frame, lower, upper in cases:
         found = log_exact_inverse(frame, lower, upper)
-        exact = spectral_apply(frame_operator(frame), lambda lam: 1.0 / lam)
+        exact = spectral_function(eigh(frame_operator(frame)), lambda lam: 1.0 / lam)
         assert operator_norm(symmetrize(found - exact)) <= 1e-9
 
 

@@ -15,6 +15,7 @@ from conftest import random_frame
 
 import framecalc
 import framecalc.cli as cli
+import framecalc.reference as reference
 from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
 from framecalc.reference import expected_power_family_2d
@@ -230,6 +231,31 @@ def test_examples_all_pass(capsys):
     code, again, _ = run_cli(capsys, ["examples"])
     assert code == 0
     assert again == out
+
+
+# Each operator-level claim of ``examples``, with a wrong version of a name it checks.
+OPERATOR_CLAIM_MUTANTS = {
+    "2d-log-exact-inverse": ("log_exact_inverse", lambda real: lambda *args: 2.0 * real(*args)),
+    "2d-binomial-truncation-norm": (
+        "binomial_bounds",
+        lambda real: lambda a, b, n: real(a, b, n)._replace(tn_bound=real(a, b, n).tn_bound / 4.0),
+    ),
+    "2d-log-truncation-norm": ("zn_bound", lambda real: lambda a, b, n: real(a, b, n) / (n + 2)),
+    # T instead of T^(1/2): the tight family alone would not tell them apart.
+    "3d-commuting-rescale": (
+        "commuting_scale",
+        lambda real: lambda frame, op: Frame(frame.dim, frame.vectors @ op),
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", OPERATOR_CLAIM_MUTANTS)
+def test_each_operator_claim_fails_under_its_mutant(claim, monkeypatch, capsys):
+    name, mutate = OPERATOR_CLAIM_MUTANTS[claim]
+    monkeypatch.setattr(reference, name, mutate(getattr(reference, name)))
+    code, out, _ = run_cli(capsys, ["examples"])
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [claim]
 
 
 @pytest.mark.parametrize(
@@ -473,7 +499,7 @@ def _importtime_child(argv, frame_file, tmp_path):
         (["analyze", "MALFORMED"], EDGE),
         (["perturb", "FRAME", "--scheme", "neumann"], LIGHT | {"framecalc.approx"}),
         (["gabor"], EDGE | {"framecalc.gabor"}),
-        (["examples"], LIGHT | {"framecalc.gabor", "framecalc.reference"}),
+        (["examples"], LIGHT | {"framecalc.approx", "framecalc.gabor", "framecalc.reference"}),
     ],
     ids=["analyze", "alpha", "dual", "malformed", "perturb", "gabor", "examples"],
 )

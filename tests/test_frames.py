@@ -16,7 +16,6 @@ from framecalc import (
     alpha_frame,
     analysis,
     binomial_bounds,
-    binomial_half_coefficients,
     binomial_tight,
     commuting_scale,
     demo_frame_2d,
@@ -39,7 +38,7 @@ from framecalc import (
     proposition1_check,
     reconstruct,
     run_convergence,
-    spectral_apply,
+    spectral_function,
     symmetrize,
     synthesis,
 )
@@ -364,11 +363,11 @@ def test_operator_power_bounds():
     frame = random_frame(rng, 5, 11, 0.5, 4.0)
     op = frame_operator(frame)
     for gamma in (0.0, 0.5, 2.0):
-        eigs = eigh(spectral_apply(op, lambda lam: lam**gamma)).eigenvalues
+        eigs = eigh(spectral_function(eigh(op), lambda lam: lam**gamma)).eigenvalues
         assert eigs[0] == pytest.approx(0.5**gamma, rel=1e-9)
         assert eigs[-1] == pytest.approx(4.0**gamma, rel=1e-9)
     for gamma in (-0.5, -1.0, -2.0):
-        eigs = eigh(spectral_apply(op, lambda lam: lam**gamma)).eigenvalues
+        eigs = eigh(spectral_function(eigh(op), lambda lam: lam**gamma)).eigenvalues
         assert eigs[0] == pytest.approx(4.0**gamma, rel=1e-9)
         assert eigs[-1] == pytest.approx(0.5**gamma, rel=1e-9)
 
@@ -381,7 +380,7 @@ def test_analysis_factorization_through_power_operator():
     op = frame_operator(frame)
     for alpha in (-1.0, -0.5, 0.75):
         family = alpha_frame(frame, alpha)
-        power = spectral_apply(op, lambda lam: lam**alpha)
+        power = spectral_function(eigh(op), lambda lam: lam**alpha)
         for _ in range(5):
             f = rng.standard_normal(4)
             left = analysis(family, f)
@@ -452,7 +451,6 @@ COUNT_ENTRY_POINTS = {
     "neumann_bound": ("order", lambda n: neumann_bound(1.0, 2.0, n)),
     "binomial_bounds": ("order", lambda n: binomial_bounds(1.0, 2.0, n)),
     "log_bound": ("order", lambda n: log_bound(1.0, 2.0, n)),
-    "binomial_half_coefficients": ("order", binomial_half_coefficients),
     "proposition1_check": ("samples", lambda n: proposition1_check(demo_frame_2d(), -0.5, n)),
     "GaborParams": ("mod_order", lambda n: GaborParams(p0=1.0, q0=4.0, mod_order=n)),
     "gabor_probe_signals": ("count", lambda n: gabor_probe_signals(demo_gabor_params(), count=n)),
@@ -513,6 +511,22 @@ def test_commuting_scale_rejects_bad_operators():
         commuting_scale(frame, np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         commuting_scale(frame, -np.eye(2))
+
+
+def test_commuting_scale_refuses_a_wrong_shape_before_any_arithmetic():
+    # A 3x3 operator on a frame in R^2 used to reach numpy's matmul error.
+    for scale_op in (np.eye(3), np.ones(2), np.ones((2, 3))):
+        expected = f"scaling operator shape {np.shape(scale_op)} != frame operator (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            commuting_scale(demo_frame_2d(), scale_op)
+
+
+def test_commuting_scale_names_an_overflowing_spectrum():
+    # 1e308 * S is positive definite with finite entries, but its top
+    # eigenvalue 2e308 is not a float; it was refused as not positive definite.
+    frame = demo_frame_3d()
+    with pytest.raises(ValueError, match="spectrum overflows float64"):
+        commuting_scale(frame, 1e308 * frame_operator(frame))
 
 
 # ---------------------------------------------------------------------------

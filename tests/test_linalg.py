@@ -6,7 +6,7 @@ import pytest
 from framecalc import (
     eigh,
     operator_norm,
-    spectral_apply,
+    spectral_function,
     symmetrize,
 )
 from framecalc.linalg import svd
@@ -110,7 +110,7 @@ def test_svd_conventions_and_frame_operator_spectrum():
 
 
 def test_spectral_apply_inverse_2d():
-    inverse = spectral_apply(HALF_MATRIX, lambda lam: 1.0 / lam)
+    inverse = spectral_function(eigh(HALF_MATRIX), lambda lam: 1.0 / lam)
     expected = np.array([[3.0, -1.0], [-1.0, 3.0]]) / 4.0
     np.testing.assert_allclose(inverse, expected, atol=1e-12)
     np.testing.assert_allclose(inverse, np.linalg.inv(HALF_MATRIX), atol=1e-12)
@@ -119,7 +119,7 @@ def test_spectral_apply_inverse_2d():
 def test_spectral_apply_identity_function():
     rng = np.random.default_rng(11)
     s = symmetrize(rng.standard_normal((5, 5)))
-    np.testing.assert_allclose(spectral_apply(s, lambda lam: lam), s, atol=1e-12)
+    np.testing.assert_allclose(spectral_function(eigh(s), lambda lam: lam), s, atol=1e-12)
 
 
 def test_spectral_apply_inverse_sqrt_projectors():
@@ -127,16 +127,16 @@ def test_spectral_apply_inverse_sqrt_projectors():
     e1 = np.array([[0.5, -0.5], [-0.5, 0.5]])
     e2 = np.array([[0.5, 0.5], [0.5, 0.5]])
     expected = e1 + e2 / math.sqrt(2.0)
-    found = spectral_apply(HALF_MATRIX, lambda lam: lam**-0.5)
+    found = spectral_function(eigh(HALF_MATRIX), lambda lam: lam**-0.5)
     np.testing.assert_allclose(found, expected, atol=1e-12)
 
 
 def test_spectral_apply_domain_errors_name_eigenvalue():
     singular = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="undefined at eigenvalue 0.0"):
-        spectral_apply(singular, lambda lam: 1.0 / lam)
+        spectral_function(eigh(singular), lambda lam: 1.0 / lam)
     with pytest.raises(ValueError, match="undefined at eigenvalue"):
-        spectral_apply(HALF_MATRIX, lambda lam: float("nan"))
+        spectral_function(eigh(HALF_MATRIX), lambda lam: float("nan"))
 
 
 def test_spectral_power_semigroup():
@@ -145,12 +145,14 @@ def test_spectral_power_semigroup():
     for dim in (2, 4, 7):
         frame_like = rng.standard_normal((dim + 3, dim))
         s = symmetrize(frame_like.T @ frame_like) + 0.5 * np.eye(dim)
+        decomp = eigh(s)
         for a, b in [(0.5, 0.5), (-1.0, 1.0), (-0.25, -0.5), (2.0, -0.75)]:
-            product = spectral_apply(s, lambda lam: lam**a) @ spectral_apply(s, lambda lam: lam**b)
-            summed = spectral_apply(s, lambda lam: lam ** (a + b))
+            power_a = spectral_function(decomp, lambda lam: lam**a)
+            product = power_a @ spectral_function(decomp, lambda lam: lam**b)
+            summed = spectral_function(decomp, lambda lam: lam ** (a + b))
             assert np.linalg.norm(product - summed) <= 1e-9 * max(1.0, np.linalg.norm(summed))
-            nested = spectral_apply(spectral_apply(s, lambda lam: lam**a), lambda lam: lam**b)
-            multiplied = spectral_apply(s, lambda lam: lam ** (a * b))
+            nested = spectral_function(eigh(power_a), lambda lam: lam**b)
+            multiplied = spectral_function(decomp, lambda lam: lam ** (a * b))
             assert np.linalg.norm(nested - multiplied) <= 1e-9 * max(
                 1.0, np.linalg.norm(multiplied)
             )
@@ -161,7 +163,7 @@ def test_spectral_inverse_identity():
     for dim in (2, 5, 8):
         frame_like = rng.standard_normal((dim + 2, dim))
         s = symmetrize(frame_like.T @ frame_like) + 0.1 * np.eye(dim)
-        product = s @ spectral_apply(s, lambda lam: 1.0 / lam)
+        product = s @ spectral_function(eigh(s), lambda lam: 1.0 / lam)
         assert np.linalg.norm(product - np.eye(dim)) <= 1e-9
 
 
@@ -170,6 +172,16 @@ def test_operator_norm_examples():
     assert operator_norm(remainder) == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert operator_norm(np.zeros((3, 3))) == 0.0
     assert operator_norm(HALF_MATRIX) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_eigh_refuses_an_overflowing_spectrum():
+    # Every entry is finite, but the top eigenvalue 2e308 is not; LAPACK
+    # returned it as inf, with no warning.
+    with pytest.raises(ValueError, match="spectrum overflows float64"):
+        eigh(1e308 * THIRDS_MATRIX)
+    with pytest.raises(ValueError, match="spectrum overflows float64"):
+        operator_norm(1e308 * THIRDS_MATRIX)
+    assert eigh(1e307 * THIRDS_MATRIX).eigenvalues[-1] == pytest.approx(2e307, rel=1e-12)
 
 
 def test_symmetrize_is_exact():

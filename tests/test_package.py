@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +37,17 @@ def test_contract_names_are_re_exported_as_the_same_objects():
     for name in contract.__all__:
         home = approx if name == "Scheme" else frames
         assert name in home.__all__ and getattr(home, name) is getattr(contract, name), name
+
+
+def test_every_public_name_has_a_caller():
+    # A public name is used, not only defined, exported or imported, somewhere
+    # in the package or the demos: a name read only by tests is not kept.
+    root = Path(__file__).resolve().parent.parent
+    used = set()
+    for path in [*(root / "src" / "framecalc").glob("*.py"), *(root / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert [name for name in framecalc.__all__ if name not in used] == []
