@@ -38,10 +38,14 @@ def main():
     print("eigenvectors (columns):")
     print(decomp.eigenvectors)
 
+    # The report holds the two extreme eigenvalues; each verdict is derived from them.
     report = diagnostics(frame)
     print("\ndiagnostics:", report)
     print("optimal bounds are the extreme eigenvalues:",
           (report.lambda_min, report.lambda_max))
+    print("is_frame:", report.is_frame)
+    print("kernel_trivial:", report.kernel_trivial)
+    print("inverse_norm:", report.inverse_norm)
 
     print("\nframe JSON (the CLI file format):")
     print(frame_to_json(frame))

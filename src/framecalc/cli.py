@@ -171,14 +171,7 @@ def _cmd_gabor(args) -> int:
     )
     probe = window_g(sample_grid(params), params)
     report = tightness_check(probe, params)
-    pairs = [
-        ("ratio", report.ratio),
-        ("target", report.target),
-        ("relative_error", report.relative_error),
-        ("truncation_warning", report.truncation_warning),
-        ("aliasing_warning", report.aliasing_warning),
-    ]
-    sys.stdout.write(_json_object(pairs))
+    sys.stdout.write(_json_object(report._asdict().items()))
     if not report.passed:
         # Truncation and aliasing have opposite remedies, so each is named.
         causes = [f"relative error {_format_float(report.relative_error)} (tol {TIGHTNESS_RTOL:g})"]

@@ -44,8 +44,9 @@ __all__ = [
 ]
 
 # lambda_min must exceed this fraction of lambda_max for the family to count
-# as a frame, i.e. kappa(S) <= 1e12 (an explicit numerical-rank decision). The
-# rule is a ratio, so scaling a family never changes its verdict.
+# as a frame, i.e. kappa(S) <= 1e12 (an explicit numerical-rank decision that
+# ``FrameDiagnostics.is_frame`` makes). The rule is a ratio, so scaling a
+# family never changes its verdict.
 FRAME_RANK_TOLERANCE = 1e-12
 
 # Relative slack at each end when validating declared bounds against the
@@ -105,21 +106,30 @@ class Frame:
 
 
 class FrameDiagnostics(NamedTuple):
-    """Spectral health report for a vector family.
-
-    ``lambda_min``/``lambda_max`` are the optimal frame bounds when the family
-    is a frame. ``kernel_trivial`` equals ``is_frame``: in finite dimension a
-    trivial kernel of the analysis operator is the same thing as spanning,
-    so the two conditions only come apart in infinite dimension.
-    ``inverse_norm`` is the spectral norm of the inverse frame operator,
-    defined only when ``is_frame``.
-    """
+    """Spectral health report for a vector family: the extreme eigenvalues of
+    its frame operator, which are the optimal frame bounds when the family is
+    a frame. Every verdict is derived from them."""
 
     lambda_min: float
     lambda_max: float
-    is_frame: bool
-    kernel_trivial: bool
-    inverse_norm: float | None
+
+    @property
+    def is_frame(self) -> bool:
+        """The frame rule: lambda_min exceeds ``FRAME_RANK_TOLERANCE`` times
+        lambda_max, i.e. kappa(S) <= 1e12."""
+        return self.lambda_min > FRAME_RANK_TOLERANCE * self.lambda_max
+
+    @property
+    def kernel_trivial(self) -> bool:
+        """Equals ``is_frame``: in finite dimension a trivial kernel of the
+        analysis operator is the same thing as spanning, so the two conditions
+        only come apart in infinite dimension."""
+        return self.is_frame
+
+    @property
+    def inverse_norm(self) -> float | None:
+        """Spectral norm of the inverse frame operator, defined only for a frame."""
+        return 1.0 / self.lambda_min if self.is_frame else None
 
 
 class BoundCheckReport(NamedTuple):
@@ -133,7 +143,15 @@ class BoundCheckReport(NamedTuple):
     max_upper_violation: float
     max_identity_residual: float
     tolerance: float
-    passed: bool
+
+    @property
+    def worst_violation(self) -> float:
+        return max(self.max_lower_violation, self.max_upper_violation, self.max_identity_residual)
+
+    @property
+    def passed(self) -> bool:
+        """Every violation within the tolerance."""
+        return self.worst_violation <= self.tolerance
 
 
 def _checked_bounds(lower: float, upper: float) -> tuple[float, float]:
@@ -157,16 +175,12 @@ def _checked_frame_bounds(frame: Frame, lower: float, upper: float) -> tuple[flo
     return lower, upper
 
 
-def _is_frame_spectrum(lam_min: float, lam_max: float) -> bool:
-    return lam_min > FRAME_RANK_TOLERANCE * lam_max
-
-
 def _frame_bounds(frame: Frame, reason: str) -> tuple[float, float]:
     """The optimal bounds of a frame; ``NotAFrameError`` citing ``reason`` otherwise."""
-    lam_min, lam_max = optimal_bounds(frame)
-    if not _is_frame_spectrum(lam_min, lam_max):
+    report = diagnostics(frame)
+    if not report.is_frame:
         raise NotAFrameError(f"not a frame: {reason}")
-    return lam_min, lam_max
+    return report.lambda_min, report.lambda_max
 
 
 def analysis(frame: Frame, f) -> np.ndarray:
@@ -203,15 +217,7 @@ def optimal_bounds(frame: Frame) -> tuple[float, float]:
 
 def diagnostics(frame: Frame) -> FrameDiagnostics:
     """Spectral frame test; non-frames are reported, not rejected."""
-    lam_min, lam_max = optimal_bounds(frame)
-    is_frame = _is_frame_spectrum(lam_min, lam_max)
-    return FrameDiagnostics(
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        is_frame=is_frame,
-        kernel_trivial=is_frame,
-        inverse_norm=1.0 / lam_min if is_frame else None,
-    )
+    return FrameDiagnostics(*optimal_bounds(frame))
 
 
 def alpha_frame(frame: Frame, alpha: float) -> Frame:
@@ -223,21 +229,26 @@ def alpha_frame(frame: Frame, alpha: float) -> Frame:
     eigenvalues of its own frame operator: (A^(2a+1), B^(2a+1)) for
     a > -1/2, exactly (1, 1) at a = -1/2, and (B^(2a+1), A^(2a+1)) for
     a < -1/2. Negative powers require the family to actually be a frame.
-    A ``ValueError``, raised before any array is formed, refuses an exponent
-    that takes an extreme eigenvalue of the family's frame operator (the
-    largest only for a non-frame) outside the positive normal floats.
+    A ``ValueError``, raised once the powers are formed but before the family
+    is, refuses an exponent that takes an extreme eigenvalue of the family's
+    frame operator (the largest only for a non-frame) outside the positive
+    normal floats.
     """
     alpha = float(alpha)
     if alpha < 0.0:
         _frame_bounds(frame, "fractional negative power undefined")
-    is_frame = _is_frame_spectrum(*optimal_bounds(frame))
-    # (s^(2a+1))^2 is monotone in s; a non-frame's smallest s are rounding noise.
-    for value in map(float, frame._svd.singular_values[[0, -1] if is_frame else [-1]]):
-        eigenvalue = _squared_power(value, 2.0 * alpha + 1.0)
-        if value > 0.0 and not sys.float_info.min <= eigenvalue <= sys.float_info.max:
-            moved = f"the frame-operator eigenvalue {value * value!r} to {eigenvalue!r}"
+    is_frame = diagnostics(frame).is_frame
+    exponent = 2.0 * alpha + 1.0
+    source = frame._svd
+    with np.errstate(over="ignore", under="ignore"):
+        factors = source.power(exponent)
+    # The powers are monotone, reversed in order for a negative exponent;
+    # a non-frame's smallest singular values are rounding noise.
+    for k in [0, -1] if is_frame else [-1]:
+        formed = float(factors.spectrum.eigenvalues[-1 - k if exponent < 0.0 else k])
+        if source.singular_values[k] > 0.0 and not sys.float_info.min <= formed <= sys.float_info.max:
+            moved = f"the frame-operator eigenvalue {float(source.spectrum.eigenvalues[k])!r} to {formed!r}"
             raise ValueError(f"alpha = {alpha!r} takes {moved}, outside the positive normal floats")
-    factors = frame._svd.power(2.0 * alpha + 1.0)
     right = factors.spectrum.eigenvectors
     family = Frame(frame.dim, (factors.left * factors.singular_values) @ right.T)
     # The family keeps its factorization, and its bounds are proved, not re-validated.
@@ -245,15 +256,6 @@ def alpha_frame(frame: Frame, alpha: float) -> Frame:
     if is_frame:
         object.__setattr__(family, "declared_bounds", optimal_bounds(family))
     return family
-
-
-def _squared_power(value: float, exponent: float) -> float:
-    """(value^exponent)^2 in Python floats, as ``SVD.power`` forms it; inf on overflow."""
-    try:
-        root = value**exponent
-    except OverflowError:
-        return math.inf
-    return root * root
 
 
 def dual_frame(frame: Frame) -> Frame:
@@ -297,8 +299,6 @@ def proposition1_check(
     max_lower = max(0.0, float(np.max(lower * norm_sq - totals)))
     max_upper = max(0.0, float(np.max(totals - upper * norm_sq)))
     max_identity = float(np.max(np.abs(totals - quadratic)))
-    tolerance = 1e-9 * upper * float(np.max(norm_sq))
-    passed = max(max_lower, max_upper, max_identity) <= tolerance
     return BoundCheckReport(
         alpha=float(alpha),
         lower=lower,
@@ -307,18 +307,19 @@ def proposition1_check(
         max_lower_violation=max_lower,
         max_upper_violation=max_upper,
         max_identity_residual=max_identity,
-        tolerance=tolerance,
-        passed=passed,
+        tolerance=1e-9 * upper * float(np.max(norm_sq)),
     )
 
 
 def commuting_scale(frame: Frame, scale_op) -> Frame:
     """Rescale the frame by the square root of a commuting positive operator.
 
-    The new family {scale_op^(1/2) phi_i} shares its Parseval-tight family
-    with the original frame. ``scale_op`` must be (dim, dim), exactly symmetric,
-    positive definite, and commute with the frame operator (Frobenius norm of
-    the commutator within 1e-9 of ||scale_op|| * ||S||).
+    ``scale_op`` must be (dim, dim), exactly symmetric, positive definite
+    (its smallest eigenvalue above ``eigh``'s rounding floor
+    dim * eps * lambda_max), and commute with the frame operator (Frobenius
+    norm of the commutator within 1e-9 of ||scale_op|| * ||S||). The new
+    family {scale_op^(1/2) phi_i} need not be a frame; when it is, it shares
+    its Parseval-tight family with the original frame.
     """
     scale = np.asarray(scale_op, dtype=float)
     if scale.shape != (frame.dim, frame.dim):
@@ -326,7 +327,7 @@ def commuting_scale(frame: Frame, scale_op) -> Frame:
     decomp = eigh(scale)
     lam_min = float(decomp.eigenvalues[0])
     lam_max = float(decomp.eigenvalues[-1])
-    if not _is_frame_spectrum(lam_min, lam_max):
+    if not lam_min > frame.dim * sys.float_info.epsilon * lam_max:
         raise ValueError("scaling operator must be positive definite")
     operator = frame_operator(frame)
     commutator = scale @ operator - operator @ scale

@@ -152,10 +152,6 @@ def _max_deviation(found: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(found - expected)))
 
 
-def _worst_violation(report) -> float:
-    return max(report.max_lower_violation, report.max_upper_violation, report.max_identity_residual)
-
-
 def builtin_checks() -> list[CheckResult]:
     """Regenerate every built-in numeric claim; deterministic, with every
     random probe drawn from ``SEED``."""
@@ -191,14 +187,13 @@ def builtin_checks() -> list[CheckResult]:
     for alpha, (lower, upper) in expected_bounds.items():
         report = proposition1_check(frame2, alpha, samples=100, seed=SEED)
         stamped_dev = max(abs(report.lower - lower), abs(report.upper - upper))
-        worst = _worst_violation(report)
         ok = report.passed and stamped_dev <= 1e-12
         results.append(
             CheckResult(
                 f"2d-bound-sweep-alpha={alpha:g}",
                 ok,
                 f"bounds ({report.lower:.12g}, {report.upper:.12g}), "
-                f"worst violation {worst:.3e}",
+                f"worst violation {report.worst_violation:.3e}",
             )
         )
 
@@ -233,7 +228,7 @@ def builtin_checks() -> list[CheckResult]:
 
     # At alpha = -1/2 the identity residual is each probe's Parseval defect.
     parseval = proposition1_check(frame3, -0.5, samples=100, seed=SEED)
-    record("3d-parseval-identity", _worst_violation(parseval), parseval.tolerance)
+    record("3d-parseval-identity", parseval.worst_violation, parseval.tolerance)
 
     # T = S gives the power family at 1/2; the tight family alone matches any commuting T.
     scaled3 = commuting_scale(frame3, frame_operator(frame3))

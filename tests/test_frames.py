@@ -9,7 +9,9 @@ import pytest
 from conftest import random_frame, random_unit
 
 from framecalc import (
+    BoundCheckReport,
     Frame,
+    FrameDiagnostics,
     GaborParams,
     NotAFrameError,
     Scheme,
@@ -26,6 +28,7 @@ from framecalc import (
     eigh,
     frame_from_dict,
     frame_operator,
+    frame_spectrum,
     frame_to_json,
     gabor_probe_signals,
     load_frame,
@@ -39,6 +42,7 @@ from framecalc import (
     reconstruct,
     run_convergence,
     spectral_function,
+    svd,
     symmetrize,
     synthesis,
 )
@@ -213,6 +217,16 @@ def test_diagnostics_inverse_norm_consistency():
         assert 1.0 / report.inverse_norm <= report.lambda_min + 1e-9
 
 
+def test_diagnostics_derive_every_verdict_from_the_two_eigenvalues():
+    assert FrameDiagnostics._fields == ("lambda_min", "lambda_max")
+    # kappa = 1e13 is past the frame rule: no verdict reads as a frame.
+    report = FrameDiagnostics(1e-13, 1.0)
+    assert not report.is_frame and not report.kernel_trivial
+    assert report.inverse_norm is None
+    report = FrameDiagnostics(0.5, 2.0)
+    assert report.is_frame and report.kernel_trivial and report.inverse_norm == 2.0
+
+
 # ---------------------------------------------------------------------------
 # Power families
 # ---------------------------------------------------------------------------
@@ -289,8 +303,13 @@ def test_alpha_frame_refuses_an_exponent_the_floats_cannot_hold(make_frame, alph
     frame = make_frame()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="outside the positive normal floats"):
+        with pytest.raises(ValueError, match="outside the positive normal floats") as caught:
             alpha_frame(frame, alpha)
+    # The message quotes an eigenvalue of the spectrum that SVD.power forms.
+    with np.errstate(over="ignore", under="ignore"):
+        formed = svd(frame.vectors).power(2.0 * alpha + 1.0).spectrum.eigenvalues
+    quoted = re.search(r" to (\S+), outside", str(caught.value)).group(1)
+    assert quoted in {repr(float(value)) for value in formed}
 
 
 def test_alpha_frame_keeps_a_wide_but_representable_family():
@@ -470,6 +489,19 @@ def test_every_count_is_a_non_negative_integer(entry):
         call(np.int64(3))
 
 
+def test_bound_check_report_passes_up_to_its_tolerance():
+    assert "passed" not in BoundCheckReport._fields
+    tolerance = 3e-9
+
+    def report(identity_residual):
+        return BoundCheckReport(-1.0, 0.5, 1.0, 10, 1e-12, 2e-12, identity_residual, tolerance)
+
+    at_tolerance = report(tolerance)
+    assert at_tolerance.worst_violation == tolerance and at_tolerance.passed
+    above = report(math.nextafter(tolerance, math.inf))
+    assert above.worst_violation > tolerance and not above.passed
+
+
 def test_proposition1_rejects_non_frame():
     with pytest.raises(NotAFrameError):
         proposition1_check(Frame(2, np.array([[1.0, 0.0]])), -0.5, samples=3)
@@ -511,6 +543,21 @@ def test_commuting_scale_rejects_bad_operators():
         commuting_scale(frame, np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         commuting_scale(frame, -np.eye(2))
+
+
+def test_commuting_scale_tests_positivity_not_the_frame_rule():
+    frame = demo_frame_2d()
+    vectors = frame_spectrum(frame).eigenvectors
+    low, high = (np.outer(vectors[:, k], vectors[:, k]) for k in range(2))
+    # Positive definite with kappa(T) = 1e13: accepted, and the rescaled
+    # family, with kappa = 2e13, is judged like any other family.
+    scaled = commuting_scale(frame, 1e-13 * low + high)
+    report = diagnostics(scaled)
+    assert not report.is_frame
+    assert report.lambda_max / report.lambda_min == pytest.approx(2e13, rel=1e-3)
+    for scale_op in (high, -1e-3 * low + high):
+        with pytest.raises(ValueError, match="positive definite"):
+            commuting_scale(frame, scale_op)
 
 
 def test_commuting_scale_refuses_a_wrong_shape_before_any_arithmetic():
