@@ -70,11 +70,12 @@ def frame_from_dict(data):
 
 
 def load_frame(path):
-    """Read a ``Frame`` from a JSON file; text that is not JSON is a ``ValueError``."""
+    """Read a ``Frame`` from a JSON file; text that is not JSON, or nests too
+    deep for the parser, is a ``ValueError``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed JSON: {exc}") from exc
     return frame_from_dict(data)
 

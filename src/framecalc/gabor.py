@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 # Fraction of total coefficient energy allowed in the outermost modulation
-# and translation rings before a truncation warning is raised, and in the
-# orders past the grid's Nyquist frequency before an aliasing warning is.
+# ring before a truncation warning is raised, and in the orders past the
+# grid's Nyquist frequency before an aliasing warning is.
 TAIL_FRACTION = 1e-6
 
 # Largest relative error of the coefficient energy against the frame constant
@@ -84,9 +84,10 @@ class GaborParams:
 
     @property
     def shift_order(self) -> int:
-        """Translation truncation S (indices -S..S): the fewest translates whose
-        supports |x - n*q0| < pi/p0 cover the grid; S >= 1 as q0 < 2*pi/p0."""
-        return math.ceil((self.grid_halfwidth + math.pi / self.p0) / self.q0)
+        """Translation truncation S (indices -S..S): every translate whose
+        support |x - n*q0| < pi/p0 meets the grid, so the largest n with
+        n*q0 - pi/p0 < X for the grid's last sample X."""
+        return math.ceil((_half_count(self) * self.grid_step + math.pi / self.p0) / self.q0) - 1
 
     @property
     def transition_width(self) -> float:
@@ -203,11 +204,11 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     is scaled by the gain's mantissa and the ratio by its exact power of two,
     so relative_error does not depend on the gain's exponent.
 
-    Each inner product runs over the L = ceil(2*pi/(p0*grid_step)) + 3 grid
-    samples that cover its translate's support with one to spare each side.
-    The window is evaluated on L points once per distinct sub-sample offset
-    of the translates: once when q0 is a multiple of grid_step, twice at a
-    half-integer ratio. Each segment is a slice of the signal padded with
+    Each inner product runs over L grid samples, ceil(2*pi/(p0*grid_step)) + 3
+    rounded up to even, that cover its translate's support with at least one
+    to spare each side. The window is evaluated on L points once per distinct
+    sub-sample offset of the translates: once when q0 is a multiple of
+    grid_step, twice at a half-integer ratio. Each segment is a slice of the signal padded with
     zeros (so zero where it hangs past a grid edge); a real signal stays real.
     The padded copy is the signal scaled by the power of two of its peak, an
     exact factor that the ratio cancels, and every energy is taken on it: no
@@ -216,24 +217,23 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
 
     The phase is taken relative to the segment's midpoint (L-1)/2, a
     unit-modulus factor that drops out of |c_mn|^2. About it, sample
-    (L-1)/2 + u pairs with (L-1)/2 - u for the H = ceil(L/2) offsets u >= 0
-    (half-integers when L is even; the middle sample of an odd L is in both
-    halves at weight 1/2). Their sum meets cos(p0 grid_step m u) and their
-    difference sin(p0 grid_step m u), and |c_m|^2 + |c_-m|^2 is twice the
-    sum of the four squares these give for the real and imaginary parts, so
-    every energy below is a sum of squares. The H x (M+1) table of both
-    columns for orders 0..M takes 16*(M+1)*H bytes, built from the complex
+    (L-1)/2 + u pairs with (L-1)/2 - u for the H = L/2 offsets u = i + 1/2,
+    i < H. Their sum meets cos(p0 grid_step m u) and their difference
+    sin(p0 grid_step m u), and |c_m|^2 + |c_-m|^2 is twice the sum of the
+    four squares these give for the real and imaginary parts, so every
+    energy below is a sum of squares. The H x (M+1) table of both columns
+    for orders 0..M takes 16*(M+1)*H bytes, built from the complex
     exponentials that ``unit_powers`` counts; the two real products with it
-    take 2H*(M+1)*(2S+1), about (M+1)*L*(2S+1), multiply-adds for a real
-    signal and twice that for a complex one, whatever the grid's half width.
+    take L*(M+1)*(2S+1) multiply-adds for a real signal and twice that for a
+    complex one, whatever the grid's half width.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
     energy is counted again and the ratio overshoots the target. The aliasing
     warning is set when those orders carry more than ``TAIL_FRACTION`` of the
     coefficient energy, which signals too high a truncation order for the
-    grid; the truncation warning when the outermost modulation or translation
-    ring does, which signals insufficient truncation or support.
+    grid; the truncation warning when the outermost modulation ring does,
+    which signals too low a truncation order.
     """
     values = np.asarray(signal)
     half = _half_count(params)
@@ -246,7 +246,7 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     mantissa, exponent = math.frexp(window_gain)
     step = params.grid_step
     edge = math.pi / params.p0
-    length = math.ceil(2.0 * edge / step) + 3
+    length = (math.ceil(2.0 * edge / step) + 4) // 2 * 2
 
     # The signal, padded by L zeros each side, as one buffer of its real (and
     # imaginary) parts.
@@ -267,46 +267,41 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
         raise ValueError("signal must have positive energy")
 
     # Grid index k (x = k*step, |k| <= half) of the first of the L samples
-    # that the support (-edge, edge) of translate n can reach, with one sample
-    # spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step, so
-    # translates with the same sub-sample offset share one window row.
+    # that the support (-edge, edge) of translate n can reach, with a sample or
+    # more to spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step,
+    # so translates with the same sub-sample offset share one window row.
     shifts = np.arange(-params.shift_order, params.shift_order + 1)
     starts = np.floor((shifts * params.q0 - edge) / step) - 1
     offsets = {}
     row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
     window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
-    # Segments are slices of each part, read as rows of a sliding view; one
-    # that starts wholly off the grid is clamped onto the padding.
-    first = np.minimum(np.maximum(starts + (half + length), 0), len(values) + length).astype(np.intp)
+    # Segments are slices of each part, read as rows of a sliding view. Each
+    # translate's support meets the grid, so each starts within the padding.
+    first = (starts + (half + length)).astype(np.intp)
     shape = (parts, len(values) + length + 1, length)
     windows = np.ndarray(shape, float, padded, 0, (flat.itemsize, padded.itemsize, padded.itemsize))
     segments = windows[:, first]
     segments *= window[row]
 
-    # Folded offset i < H is u = i + 1/2 for even L and u = i for odd L.
-    upper, lower = segments[..., length // 2 :], segments[..., (length - 1) // 2 :: -1]
+    # Folded offset i < H is u = i + 1/2.
+    pairs = length // 2
+    upper, lower = segments[..., pairs:], segments[..., pairs - 1 :: -1]
     folded = np.empty((2, *upper.shape))
     np.add(upper, lower, out=folded[0])
     np.subtract(upper, lower, out=folded[1])
     theta = params.p0 * step
     orders = np.arange(params.mod_order + 1)
-    phases = unit_powers(theta, upper.shape[-1], len(orders), 0.5 * (1 - length % 2))
-    tables = np.array([phases.real, phases.imag])
-    tables[0, 0] *= 0.5 ** (length % 2)  # the middle sample's weight 1/2
-    blocks = folded.reshape(2, -1, upper.shape[-1]) @ tables
+    phases = unit_powers(theta, pairs, len(orders), 0.5)
+    blocks = folded.reshape(2, -1, pairs) @ np.array([phases.real, phases.imag])
 
-    # sums[n, m] = (|c_mn|^2 + |c_-mn|^2)/2 for m >= 1 and |c_0n|^2 for m = 0.
-    sums = np.square(blocks, out=blocks).reshape(-1, len(shifts), len(orders)).sum(axis=0)
-    per_shift = sums @ np.where(orders, 2.0, 1.0)
-
-    # Outermost rings: both modulation edges of every translate (the one
-    # column twice when M = 0) and every order of the outermost translates
-    # (the slice's step picks the first and the last).
-    total = float(per_shift.sum())
-    tail = float(2.0 * sums[:, -1].sum() + per_shift[:: len(shifts) - 1].sum())
+    # sums[m] sums (|c_mn|^2 + |c_-mn|^2)/2 over n, or |c_0n|^2 for m = 0.
+    sums = np.square(blocks, out=blocks).reshape(-1, len(orders)).sum(axis=0)
+    total = float(sums @ np.where(orders, 2.0, 1.0))
+    # The outermost modulation ring, both edges (order 0 twice when M = 0).
+    tail = 2.0 * float(sums[-1])
     # Both signs of every order past Nyquist, a suffix of the orders; order 0
     # never is.
-    aliased = float(2.0 * sums[:, np.searchsorted(orders * theta, math.pi, "right") :].sum())
+    aliased = 2.0 * float(sums[np.searchsorted(orders * theta, math.pi, "right") :].sum())
 
     ratio = step * total / norm_sq
     scaled_target = params.tight_constant * mantissa**2

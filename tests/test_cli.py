@@ -479,14 +479,24 @@ def _loaded_modules(stderr, package="framecalc"):
     return {name for name in names if name.split(".")[0] == package}
 
 
+def _deep_frame_file(tmp_path):
+    """A frame file whose vectors nest 1,000 lists deep: past the JSON parser's
+    recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 1, "vectors": ' + "[" * 1000 + "]" * 1000 + "}", encoding="utf-8")
+    return path
+
+
 def _importtime_child(argv, frame_file, tmp_path):
-    # A child under ``-X importtime``, with FRAME, MALFORMED and BOOL_DIM in
-    # ``argv`` standing for a valid, a malformed and a bool-``dim`` frame file.
+    # A child under ``-X importtime``, with FRAME, MALFORMED, BOOL_DIM and DEEP
+    # in ``argv`` standing for a valid, a malformed, a bool-``dim`` and a
+    # too deeply nested frame file.
     malformed = tmp_path / "broken.json"
     malformed.write_text('{"dim": 2,,}', encoding="utf-8")
     bool_dim = tmp_path / "bool_dim.json"
     bool_dim.write_text('{"dim": true, "vectors": [[1.0], [0.5]]}', encoding="utf-8")
-    files = {"FRAME": frame_file, "MALFORMED": str(malformed), "BOOL_DIM": str(bool_dim)}
+    deep = _deep_frame_file(tmp_path)
+    files = {"FRAME": frame_file, "MALFORMED": str(malformed), "BOOL_DIM": str(bool_dim), "DEEP": str(deep)}
     return _framecalc_child(*[files.get(arg, arg) for arg in argv], flags=("-X", "importtime"))
 
 
@@ -511,8 +521,13 @@ def test_each_subcommand_imports_only_the_layers_it_runs(argv, modules, frame_fi
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze", "MALFORMED"], ["dual", "BOOL_DIM"], ["perturb", "FRAME", "--scheme", "bogus"]],
-    ids=["malformed", "bool-dim", "usage"],
+    [
+        ["analyze", "MALFORMED"],
+        ["dual", "BOOL_DIM"],
+        ["alpha", "DEEP", "--alpha", "0.5"],
+        ["perturb", "FRAME", "--scheme", "bogus"],
+    ],
+    ids=["malformed", "bool-dim", "deep", "usage"],
 )
 def test_refused_input_loads_no_layer_and_not_numpy(argv, frame_file, tmp_path):
     child = _importtime_child(argv, frame_file, tmp_path)
@@ -534,6 +549,9 @@ def test_child_process_input_and_usage_errors_exit_two(tmp_path):
     malformed = _framecalc_child("analyze", str(path))
     assert malformed.returncode == 2 and malformed.stdout == ""
     assert malformed.stderr.startswith("error: malformed JSON: ") and malformed.stderr.count("\n") == 1
+    deep = _framecalc_child("dual", str(_deep_frame_file(tmp_path)))
+    assert deep.returncode == 2 and deep.stdout == ""
+    assert deep.stderr.startswith("error: malformed JSON: ") and deep.stderr.count("\n") == 1
     bogus = _framecalc_child("perturb", str(path), "--scheme", "bogus")
     assert bogus.returncode == 2 and bogus.stdout == ""
     assert "invalid choice: 'bogus'" in bogus.stderr

@@ -73,21 +73,25 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params, order",
     [
-        demo_gabor_params(),
-        GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5),
-        GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0),
-        GaborParams(p0=1.0, q0=2.0 * math.pi - 1e-3, grid_halfwidth=1e-3),
+        (demo_gabor_params(), 12),
+        # translate 0's support covers the whole grid
+        (GaborParams(p0=2.0, q0=2.5, grid_halfwidth=0.5), 0),
+        # translate 13's support starts exactly at the grid's last sample
+        (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0), 12),
+        # a grid of the one sample 0
+        (GaborParams(p0=1.0, q0=2.0 * math.pi - 1e-3, grid_halfwidth=1e-3), 0),
     ],
 )
-def test_shift_order_is_the_smallest_range_that_covers_the_grid(params):
-    # Translate n's support is |x - n*q0| < pi/p0: translate S lies wholly at
-    # or past the grid's edge, translate S - 1 reaches inside it.
+def test_shift_order_takes_every_translate_that_meets_the_grid(params, order):
+    # Translate n's support is |x - n*q0| < pi/p0: translate S reaches the
+    # grid's last sample, translate S + 1 starts at or past it.
     edge = math.pi / params.p0
-    assert params.shift_order >= 1
-    assert params.shift_order * params.q0 - edge >= params.grid_halfwidth
-    assert (params.shift_order - 1) * params.q0 - edge < params.grid_halfwidth
+    last = sample_grid(params)[-1]
+    assert params.shift_order == order >= 0
+    assert params.shift_order * params.q0 - edge < last
+    assert (params.shift_order + 1) * params.q0 - edge >= last
 
 
 def test_window_support_is_exact():
@@ -288,7 +292,8 @@ def test_the_window_gain_is_factored_out_as_a_power_of_two():
 
 
 def _support_length(params):
-    return math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 3
+    """L: ceil(2*pi/(p0*grid_step)) + 3 rounded up to even."""
+    return (math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 4) // 2 * 2
 
 
 @pytest.mark.parametrize("params", [demo_gabor_params(), GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 128, grid_halfwidth=96.0)])
@@ -338,21 +343,25 @@ def test_probes_match_the_bump_by_bump_loop(params, count):
 
 
 def _full_grid_tightness(signal, params, gain=1.0):
-    """The full-grid form of the check: one (2M+1) x G product per translate."""
+    """The full-grid form of the check: one (2M+1) x G product per translate.
+
+    It runs over two translates more each side than ``shift_order``, and the
+    window of each of those is exactly zero on the grid.
+    """
     grid = sample_grid(params)
     values = np.asarray(signal, dtype=complex)
     orders = np.arange(-params.mod_order, params.mod_order + 1)
     phases = np.exp(-1j * params.p0 * np.outer(orders, grid))
     past_nyquist = np.abs(orders) * params.p0 * params.grid_step > math.pi
     total = tail = aliased = 0.0
-    for n in range(-params.shift_order, params.shift_order + 1):
+    reach = params.shift_order + 2
+    for n in range(-reach, reach + 1):
         window = gain * window_g(grid - n * params.q0, params)
+        assert abs(n) <= params.shift_order or not window.any()
         energies = np.abs(params.grid_step * (phases @ (window * values))) ** 2
         total += energies.sum()
         tail += energies[0] + energies[-1]
         aliased += energies[past_nyquist].sum()
-        if abs(n) == params.shift_order:
-            tail += energies.sum()
     ratio = total / (params.grid_step * np.sum(np.abs(values) ** 2))
     return ratio, bool(tail > TAIL_FRACTION * total), bool(aliased > TAIL_FRACTION * total)
 
@@ -362,8 +371,8 @@ FULL_GRID_CASES = [
     # q0 off the grid
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5), "real", 1.0, False),
     (GaborParams(p0=math.pi, q0=1.2, grid_step=1.2 / 63.5), "complex", 1.0, False),
-    # (grid_halfwidth + pi/p0)/q0 is an integer, 1 and 13: translate S's
-    # support starts exactly at the grid edge.
+    # (grid_halfwidth + pi/p0)/q0 is an integer, 1 and 13: translate S + 1's
+    # support starts exactly at the grid's last sample, and it is left out.
     (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=1.0, mod_order=30), "window", 1.0, True),
     (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0, mod_order=30), "real", 1.0, False),
     (GaborParams(p0=1.0, q0=4.0, mod_order=0), "real", 1.0, True),
@@ -384,13 +393,9 @@ FULL_GRID_CASES = [
     # sub-sample offset, so its own window row.
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), mod_order=40), "complex", 1.0, False),
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), grid_halfwidth=2.0), "real", 0.37, True),
+    # a coarse grid: three samples per translation step, L = 8
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 3, mod_order=1), "window", 1.0, True),
 ]
-
-
-def test_full_grid_cases_fold_segments_of_both_parities():
-    # An even support length folds onto half-integer offsets, an odd one puts
-    # its middle sample in both halves.
-    assert {_support_length(case[0]) % 2 for case in FULL_GRID_CASES} == {0, 1}
 
 
 @pytest.mark.parametrize("params, probe, gain, warns", FULL_GRID_CASES)
@@ -416,7 +421,7 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     "params",
     [
         demo_gabor_params(),  # L = 104
-        GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5),  # L = 103
+        GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 63.5),  # q0 off the grid, L = 104
         GaborParams(p0=math.pi, q0=1.2, mod_order=112),  # past Nyquist, both warnings
     ],
 )
