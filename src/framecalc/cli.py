@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str.lower,
         help="approximation scheme",
     )
-    perturb.add_argument("--A", type=float, default=None, help="declared lower bound (default: optimal)")
-    perturb.add_argument("--B", type=float, default=None, help="declared upper bound (default: optimal)")
     perturb.add_argument("--N-max", type=int, default=10, help="largest series order")
     perturb.add_argument("--samples", type=int, default=32, help="number of random probe vectors")
     perturb.add_argument("--seed", type=int, default=0, help="probe generator seed")
@@ -119,11 +117,7 @@ def _cmd_perturb(args) -> int:
     from .approx import run_convergence, write_csv
     from .frames import optimal_bounds
 
-    lower, upper = args.A, args.B
-    if lower is None or upper is None:
-        lam_min, lam_max = optimal_bounds(frame)
-        lower = lam_min if lower is None else lower
-        upper = lam_max if upper is None else upper
+    lower, upper = frame.declared_bounds or optimal_bounds(frame)
     report = run_convergence(
         frame,
         next(scheme for scheme in Scheme if scheme.value.lower() == args.scheme),

@@ -85,9 +85,13 @@ class Frame:
         if not np.all(np.isfinite(arr)):
             raise ValueError("frame vectors must be finite")
         # trace(S) = ||V||_F^2 bounds every entry of S; scaled so numpy never overflows.
+        # A nonzero family needs it finite and normal, or its spectrum is lost to rounding.
         peak = float(np.max(np.abs(arr)))
-        if peak > 0.0 and not math.isfinite(peak * peak * float(np.sum(np.square(arr / peak)))):
+        trace = peak * peak * float(np.sum(np.square(arr / peak))) if peak > 0.0 else 0.0
+        if not math.isfinite(trace):
             raise ValueError("frame vectors are too large: the frame operator overflows float64")
+        if peak > 0.0 and trace < sys.float_info.min:
+            raise ValueError("frame vectors are too small: the frame operator underflows float64")
         arr.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vectors", arr)

@@ -16,7 +16,7 @@ from conftest import random_frame
 import framecalc
 import framecalc.cli as cli
 import framecalc.reference as reference
-from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json
+from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json, load_frame, optimal_bounds
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
 from framecalc.reference import expected_power_family_2d
 
@@ -73,6 +73,14 @@ def test_analyze_malformed_json_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 2
     assert "line" in err and "column" in err
+
+
+def test_analyze_underflowing_frame_operator_exits_two(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text('{"dim": 2, "vectors": [[1e-162, 0.0], [0.0, 1e-162]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: frame vectors are too small: the frame operator underflows float64\n"
 
 
 def test_analyze_missing_file_exits_two(tmp_path, capsys):
@@ -147,10 +155,6 @@ def test_perturb_writes_reference_csv(frame_file, tmp_path, capsys):
             frame_file,
             "--scheme",
             "neumann",
-            "--A",
-            "1",
-            "--B",
-            "2",
             "--N-max",
             "8",
             "--samples",
@@ -166,32 +170,48 @@ def test_perturb_writes_reference_csv(frame_file, tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 9
     for n, row in enumerate(rows):
-        assert row["scheme"] == "Neumann"
+        # The fixture declares bounds (1, 2), and the table runs on them.
+        assert (row["scheme"], row["A"], row["B"]) == ("Neumann", "1", "2")
         assert int(row["N"]) == n
         assert float(row["analytical_bound"]) == pytest.approx((1 / 3) ** (n + 1), rel=1e-12)
         assert bound_satisfied(float(row["measured_error"]), float(row["analytical_bound"]))
 
 
-def test_perturb_defaults_to_optimal_bounds(frame_file, capsys):
+def test_perturb_defaults_to_optimal_bounds(tmp_path, capsys):
+    path = tmp_path / "undeclared.json"
+    path.write_text(frame_to_json(random_frame(np.random.default_rng(29), 3, 5, 0.7, 2.9)), encoding="utf-8")
+    assert "bounds" not in json.loads(path.read_text(encoding="utf-8"))
     code, out, _ = run_cli(
-        capsys, ["perturb", frame_file, "--scheme", "logarithmic", "--N-max", "2"]
+        capsys, ["perturb", str(path), "--scheme", "logarithmic", "--N-max", "2"]
     )
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
-    assert float(rows[0]["A"]) == pytest.approx(1.0, abs=1e-12)
-    assert float(rows[0]["B"]) == pytest.approx(2.0, abs=1e-12)
+    lam_min, lam_max = optimal_bounds(load_frame(str(path)))
+    assert len(rows) == 3
+    assert all((float(row["A"]), float(row["B"])) == (lam_min, lam_max) for row in rows)
 
 
 def test_perturb_binomial_refusal_exits_two(tmp_path, capsys):
-    wide = Frame(2, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    wide = Frame(2, np.array([[1.0, 0.0], [0.0, 2.0]]), (1.0, 4.0))
     path = tmp_path / "wide.json"
     path.write_text(frame_to_json(wide), encoding="utf-8")
-    code, _, err = run_cli(
-        capsys,
-        ["perturb", str(path), "--scheme", "binomialhalf", "--A", "1", "--B", "4"],
-    )
+    code, _, err = run_cli(capsys, ["perturb", str(path), "--scheme", "binomialhalf"])
     assert code == 2
     assert "B < 3A" in err
+
+
+def test_perturb_runs_on_the_bounds_the_file_declares(tmp_path, capsys):
+    # Loose bounds (0.5, 4) around the 2-d demo's spectrum [1, 2].
+    path = tmp_path / "loose.json"
+    path.write_text(frame_to_json(Frame(2, demo_frame_2d().vectors, (0.5, 4.0))), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", "neumann"])
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 11
+    assert {(row["A"], row["B"]) for row in rows} == {("0.5", "4")}
+    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", "binomialhalf"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: BinomialHalf requires B < 3A") and err.count("\n") == 1
 
 
 def test_perturb_bound_violation_exits_one(frame_file, capsys, monkeypatch):
@@ -488,15 +508,19 @@ def _deep_frame_file(tmp_path):
 
 
 def _importtime_child(argv, frame_file, tmp_path):
-    # A child under ``-X importtime``, with FRAME, MALFORMED, BOOL_DIM and DEEP
-    # in ``argv`` standing for a valid, a malformed, a bool-``dim`` and a
-    # too deeply nested frame file.
-    malformed = tmp_path / "broken.json"
-    malformed.write_text('{"dim": 2,,}', encoding="utf-8")
-    bool_dim = tmp_path / "bool_dim.json"
-    bool_dim.write_text('{"dim": true, "vectors": [[1.0], [0.5]]}', encoding="utf-8")
-    deep = _deep_frame_file(tmp_path)
-    files = {"FRAME": frame_file, "MALFORMED": str(malformed), "BOOL_DIM": str(bool_dim), "DEEP": str(deep)}
+    # A child under ``-X importtime``, with FRAME, MALFORMED, BOOL_DIM, DEEP,
+    # ARRAY and NO_VECTORS in ``argv`` standing for a valid, a malformed, a
+    # bool-``dim``, a too deeply nested, a non-object and a vector-less frame file.
+    contents = {
+        "MALFORMED": '{"dim": 2,,}',
+        "BOOL_DIM": '{"dim": true, "vectors": [[1.0], [0.5]]}',
+        "ARRAY": "[1, 2]",
+        "NO_VECTORS": '{"dim": 2, "vectors": []}',
+    }
+    files = {"FRAME": frame_file, "DEEP": str(_deep_frame_file(tmp_path))}
+    for name, text in contents.items():
+        files[name] = str(tmp_path / f"{name.lower()}.json")
+        Path(files[name]).write_text(text, encoding="utf-8")
     return _framecalc_child(*[files.get(arg, arg) for arg in argv], flags=("-X", "importtime"))
 
 
@@ -525,9 +549,11 @@ def test_each_subcommand_imports_only_the_layers_it_runs(argv, modules, frame_fi
         ["analyze", "MALFORMED"],
         ["dual", "BOOL_DIM"],
         ["alpha", "DEEP", "--alpha", "0.5"],
+        ["analyze", "ARRAY"],
+        ["perturb", "NO_VECTORS", "--scheme", "neumann"],
         ["perturb", "FRAME", "--scheme", "bogus"],
     ],
-    ids=["malformed", "bool-dim", "deep", "usage"],
+    ids=["malformed", "bool-dim", "deep", "array", "no-vectors", "usage"],
 )
 def test_refused_input_loads_no_layer_and_not_numpy(argv, frame_file, tmp_path):
     child = _importtime_child(argv, frame_file, tmp_path)
@@ -599,6 +625,9 @@ def test_gabor_invalid_params_exit_two(capsys):
     code, _, err = run_cli(capsys, ["gabor", "--p0", "1", "--q0", "7"])
     assert code == 2
     assert "no frame" in err
+    code, out, err = run_cli(capsys, ["gabor", "--q0", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: q0 must be positive, got -1.0\n"
 
 
 @pytest.mark.parametrize("flag", ["--grid-step", "--halfwidth"])
@@ -622,3 +651,13 @@ def test_usage_errors_exit_two(frame_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["perturb", frame_file, "--scheme", "unknown"])
     assert excinfo.value.code == 2
+    # A frame file declares its bounds: no option sets them.
+    for flag in ("--A", "--B"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["perturb", frame_file, "--scheme", "neumann", flag, "1"])
+        assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["perturb", "--help"])
+    assert excinfo.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--N-max" in usage and "--A" not in usage and "--B" not in usage

@@ -60,6 +60,10 @@ SQRT2 = math.sqrt(2.0)
 def test_frame_validation():
     with pytest.raises(ValueError, match="at least one vector"):
         Frame(2, np.empty((0, 2)))
+    with pytest.raises(ValueError, match=re.escape("2-d array, got shape (2,)")):
+        Frame(2, [1.0, 0.0])
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        Frame(0, [[]])
     with pytest.raises(ValueError, match="declared dim"):
         Frame(3, np.eye(2))
     with pytest.raises(ValueError, match="finite"):
@@ -205,6 +209,18 @@ def test_diagnostics_non_frame():
     assert not report.is_frame and not report.kernel_trivial
     assert report.lambda_min == pytest.approx(0.0, abs=1e-12)
     assert report.inverse_norm is None
+
+
+def test_frame_refuses_a_frame_operator_that_underflows():
+    # Scaling never changes a verdict, so a family whose trace(S) = ||V||_F^2
+    # is not a normal float is refused rather than judged on rounded eigenvalues.
+    for scale in (1e-154, 1e-162, 1e-170):
+        with pytest.raises(ValueError, match="too small: the frame operator underflows float64"):
+            Frame(2, scale * np.eye(2))
+    report = diagnostics(Frame(2, 1e-150 * np.eye(2)))
+    assert report.is_frame and report.lambda_min == report.lambda_max == pytest.approx(1e-300, rel=1e-12)
+    # The zero family has no scale to lose: it stays a reported non-frame.
+    assert diagnostics(Frame(2, np.zeros((2, 2)))) == (0.0, 0.0)
 
 
 def test_diagnostics_inverse_norm_consistency():
@@ -672,6 +688,10 @@ def test_count_rule_accepts_exactly_python_and_numpy_integers():
 
 
 def test_frame_from_dict_validation():
+    with pytest.raises(ValueError, match="must contain a JSON object"):
+        frame_from_dict([1, 2])
+    with pytest.raises(ValueError, match="'vectors' must be a non-empty list"):
+        frame_from_dict({"dim": 2, "vectors": []})
     with pytest.raises(ValueError, match="missing"):
         frame_from_dict({"dim": 2})
     with pytest.raises(ValueError, match="unknown"):

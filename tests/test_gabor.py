@@ -60,6 +60,9 @@ def test_params_validation():
         GaborParams(p0=1.0, q0=2.0)  # q0 < pi/p0
     with pytest.raises(ValueError, match="positive"):
         GaborParams(p0=-1.0, q0=4.0)
+    for bad in (-1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="q0 must be positive"):
+            GaborParams(p0=1.0, q0=bad)
     for bad in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="finite and positive"):
             GaborParams(p0=1.0, q0=4.0, grid_step=bad)

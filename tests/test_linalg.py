@@ -91,6 +91,8 @@ def test_eigh_rejects_asymmetric_and_nonfinite():
         eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         eigh(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="operator dimension must be at least 1"):
+        eigh(np.empty((0, 0)))
 
 
 def test_svd_conventions_and_frame_operator_spectrum():
