@@ -28,7 +28,7 @@ __all__ = [
     "demo_frame_2d",
     "demo_frame_3d",
     "demo_gabor_params",
-    "expected_power_family_2d",
+    "expected_power_family",
     "gabor_probe_signals",
 ]
 
@@ -63,42 +63,18 @@ def _basis_plus_diagonal(dim: int) -> Frame:
     return Frame(dim, np.vstack([np.eye(dim), diagonal]), (1.0, 2.0))
 
 
-OPERATOR_2D = np.array([[1.5, 0.5], [0.5, 1.5]])
-INVERSE_2D = np.array([[3.0, -1.0], [-1.0, 3.0]]) / 4.0
-OPERATOR_3D = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 3.0
+def _power_operator(dim: int, alpha: float) -> np.ndarray:
+    """S^alpha of the basis-plus-diagonal frame in closed form: 11^T/dim
+    projects onto the eigenvalue 2 and its complement onto 1, so
+    S^alpha = I + (2^alpha - 1) 11^T/dim."""
+    return np.eye(dim) + (2.0**alpha - 1.0) / dim
 
 
-def expected_power_family_2d(alpha: float) -> np.ndarray:
-    """Closed-form power-family vectors of the 2-d demo frame.
-
-    With eigenprojectors onto (1, -1)/sqrt(2) and (1, 1)/sqrt(2) at
-    eigenvalues 1 and 2, the power operator is E1 + 2^alpha E2, giving
-    (1 +/- 2^alpha)/2 patterns for the basis vectors and 2^(alpha - 1/2)
-    times (1, 1) for the diagonal one.
-    """
-    p = 2.0**alpha
-    return np.array(
-        [
-            [(1.0 + p) / 2.0, (-1.0 + p) / 2.0],
-            [(-1.0 + p) / 2.0, (1.0 + p) / 2.0],
-            [p / SQRT2, p / SQRT2],
-        ]
-    )
-
-
-def expected_tight_family_3d() -> np.ndarray:
-    """Closed-form Parseval-tight family of the 3-d demo frame."""
-    r = 1.0 / SQRT2
-    third = 1.0 / 3.0
-    s6 = 1.0 / math.sqrt(6.0)
-    return np.array(
-        [
-            [third * (2.0 + r), third * (-1.0 + r), third * (-1.0 + r)],
-            [third * (-1.0 + r), third * (2.0 + r), third * (-1.0 + r)],
-            [third * (-1.0 + r), third * (-1.0 + r), third * (2.0 + r)],
-            [s6, s6, s6],
-        ]
-    )
+def expected_power_family(dim: int, alpha: float) -> np.ndarray:
+    """Closed-form power-family vectors {S^alpha phi_i} of the dim-dimensional
+    demo frame (``demo_frame_2d`` and ``demo_frame_3d`` at dim 2 and 3); at
+    alpha = -1/2 the Parseval-tight family."""
+    return _basis_plus_diagonal(dim).vectors @ _power_operator(dim, alpha)
 
 
 def demo_gabor_params() -> GaborParams:
@@ -163,7 +139,7 @@ def builtin_checks() -> list[CheckResult]:
         )
 
     frame2 = demo_frame_2d()
-    record("2d-frame-operator", _max_deviation(frame_operator(frame2), OPERATOR_2D), 1e-10)
+    record("2d-frame-operator", _max_deviation(frame_operator(frame2), _power_operator(2, 1.0)), 1e-10)
 
     decomp = frame_spectrum(frame2)
     eig_dev = _max_deviation(decomp.eigenvalues, np.array([1.0, 2.0]))
@@ -175,16 +151,13 @@ def builtin_checks() -> list[CheckResult]:
         found = alpha_frame(frame2, alpha).vectors
         record(
             f"2d-power-family-alpha={alpha:g}",
-            _max_deviation(found, expected_power_family_2d(alpha)),
+            _max_deviation(found, expected_power_family(2, alpha)),
             1e-10,
         )
 
-    expected_bounds = {
-        -1.0: (0.5, 1.0),
-        -1.0 / 3.0: (1.0, 2.0 ** (1.0 / 3.0)),
-        -2.0 / 3.0: (2.0 ** (-1.0 / 3.0), 1.0),
-    }
-    for alpha, (lower, upper) in expected_bounds.items():
+    for alpha in (-1.0, -1.0 / 3.0, -2.0 / 3.0):
+        # The family's frame operator is S^(2 alpha + 1), with eigenvalues 1 and 2^(2 alpha + 1).
+        lower, upper = sorted((1.0, 2.0 ** (2.0 * alpha + 1.0)))
         report = proposition1_check(frame2, alpha, samples=100, seed=SEED)
         stamped_dev = max(abs(report.lower - lower), abs(report.upper - upper))
         ok = report.passed and stamped_dev <= 1e-12
@@ -197,25 +170,26 @@ def builtin_checks() -> list[CheckResult]:
             )
         )
 
-    # The paper's operator-level claims at the bounds (1, 2): S^(-1) equals
+    # The paper's operator-level claims at the declared bounds: S^(-1) equals
     # exp(c R_log)/sqrt(A B), and each truncation operator is within its bound.
-    inverse_dev = _max_deviation(log_exact_inverse(frame2, 1.0, 2.0), INVERSE_2D)
+    lower, upper = frame2.declared_bounds
+    inverse_dev = _max_deviation(log_exact_inverse(frame2, lower, upper), _power_operator(2, -1.0))
     record("2d-log-exact-inverse", inverse_dev, 1e-10)
     for name, norm, bound in (
         (
             "2d-binomial-truncation-norm",
             binomial_remainder_norm,
-            lambda n: binomial_bounds(1.0, 2.0, n).tn_bound,
+            lambda n: binomial_bounds(lower, upper, n).tn_bound,
         ),
-        ("2d-log-truncation-norm", log_remainder_norm, lambda n: zn_bound(1.0, 2.0, n)),
+        ("2d-log-truncation-norm", log_remainder_norm, lambda n: zn_bound(lower, upper, n)),
     ):
-        pairs = [(norm(frame2, 1.0, 2.0, n), bound(n)) for n in range(11)]
+        pairs = [(norm(frame2, lower, upper, n), bound(n)) for n in range(11)]
         worst = max(measured / limit for measured, limit in pairs)
         ok = all(bound_satisfied(measured, limit) for measured, limit in pairs)
         results.append(CheckResult(name, ok, f"worst norm/bound {worst:.3e} over N = 0..10"))
 
     frame3 = demo_frame_3d()
-    record("3d-frame-operator", _max_deviation(frame_operator(frame3), OPERATOR_3D), 1e-9)
+    record("3d-frame-operator", _max_deviation(frame_operator(frame3), _power_operator(3, 1.0)), 1e-9)
 
     decomp3 = frame_spectrum(frame3)
     eig_dev = _max_deviation(decomp3.eigenvalues, np.array([1.0, 1.0, 2.0]))
@@ -223,8 +197,8 @@ def builtin_checks() -> list[CheckResult]:
     top_dev = _max_deviation(top, np.full(3, 1.0 / math.sqrt(3.0)))
     record("3d-eigenvalues", max(eig_dev, top_dev), 1e-9)
 
-    tight3 = alpha_frame(frame3, -0.5).vectors
-    record("3d-tight-family", _max_deviation(tight3, expected_tight_family_3d()), 1e-9)
+    tight3 = expected_power_family(3, -0.5)
+    record("3d-tight-family", _max_deviation(alpha_frame(frame3, -0.5).vectors, tight3), 1e-9)
 
     # At alpha = -1/2 the identity residual is each probe's Parseval defect.
     parseval = proposition1_check(frame3, -0.5, samples=100, seed=SEED)
@@ -232,8 +206,8 @@ def builtin_checks() -> list[CheckResult]:
 
     # T = S gives the power family at 1/2; the tight family alone matches any commuting T.
     scaled3 = commuting_scale(frame3, frame_operator(frame3))
-    half_dev = _max_deviation(scaled3.vectors, alpha_frame(frame3, 0.5).vectors)
-    tight_dev = _max_deviation(alpha_frame(scaled3, -0.5).vectors, expected_tight_family_3d())
+    half_dev = _max_deviation(scaled3.vectors, expected_power_family(3, 0.5))
+    tight_dev = _max_deviation(alpha_frame(scaled3, -0.5).vectors, tight3)
     record("3d-commuting-rescale", max(half_dev, tight_dev), 1e-9)
 
     params = demo_gabor_params()
@@ -264,7 +238,7 @@ def builtin_checks() -> list[CheckResult]:
 
     gain = math.sqrt(1.0 / params.tight_constant)
     rescaled = tightness_check(window_g(sample_grid(params), params), params, window_gain=gain)
-    ok = rescaled.relative_error <= TIGHTNESS_RTOL and abs(rescaled.target - 1.0) <= 1e-12
+    ok = rescaled.passed and abs(rescaled.target - 1.0) <= 1e-12
     results.append(
         CheckResult(
             "window-parseval-rescale",

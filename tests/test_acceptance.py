@@ -42,7 +42,7 @@ from framecalc import (
     tightness_check,
     window_g,
 )
-from framecalc.reference import expected_power_family_2d, expected_tight_family_3d
+from framecalc.reference import expected_power_family
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,7 +66,7 @@ def test_criterion_1_reference_frame_reproduction():
     for alpha in (-1.0, -0.5, -1.0 / 3.0, -2.0 / 3.0):
         family = alpha_frame(frame, alpha)
         np.testing.assert_allclose(
-            family.vectors, expected_power_family_2d(alpha), atol=1e-10
+            family.vectors, expected_power_family(2, alpha), atol=1e-10
         )
 
     elapsed = time.perf_counter() - started
@@ -103,7 +103,7 @@ def test_criterion_3_three_dimensional_reference_frame():
     np.testing.assert_allclose(decomp.eigenvalues, [1.0, 1.0, 2.0], atol=1e-9)
 
     tight = alpha_frame(frame, -0.5)
-    np.testing.assert_allclose(tight.vectors, expected_tight_family_3d(), atol=1e-9)
+    np.testing.assert_allclose(tight.vectors, expected_power_family(3, -0.5), atol=1e-9)
     np.testing.assert_allclose(
         tight.vectors[3], np.full(3, 1.0 / math.sqrt(6.0)), atol=1e-9
     )

@@ -18,7 +18,7 @@ import framecalc.cli as cli
 import framecalc.reference as reference
 from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json, load_frame, optimal_bounds
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
-from framecalc.reference import expected_power_family_2d
+from framecalc.reference import expected_power_family
 
 
 # The ``--scheme`` names: each ``Scheme`` value in lower case.
@@ -94,7 +94,7 @@ def test_alpha_emits_power_family(frame_file, capsys):
     assert code == 0
     emitted = json.loads(out)
     np.testing.assert_allclose(
-        np.array(emitted["vectors"]), expected_power_family_2d(-0.5), atol=1e-10
+        np.array(emitted["vectors"]), expected_power_family(2, -0.5), atol=1e-10
     )
     assert emitted["bounds"] == [1.0, 1.0]
 
@@ -242,11 +242,38 @@ def test_leftover_arithmetic_error_exits_two(frame_file, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+# Every claim of ``examples``, in the order it prints them.
+EXAMPLE_CLAIMS = [
+    "2d-frame-operator",
+    "2d-eigenpairs",
+    "2d-power-family-alpha=-1",
+    "2d-power-family-alpha=-0.5",
+    "2d-power-family-alpha=-0.333333",
+    "2d-power-family-alpha=-0.666667",
+    "2d-bound-sweep-alpha=-1",
+    "2d-bound-sweep-alpha=-0.333333",
+    "2d-bound-sweep-alpha=-0.666667",
+    "2d-log-exact-inverse",
+    "2d-binomial-truncation-norm",
+    "2d-log-truncation-norm",
+    "3d-frame-operator",
+    "3d-eigenvalues",
+    "3d-tight-family",
+    "3d-parseval-identity",
+    "3d-commuting-rescale",
+    "window-support",
+    "window-partition-identity",
+    "window-tightness",
+    "window-parseval-rescale",
+]
+
+
 def test_examples_all_pass(capsys):
     code, out, _ = run_cli(capsys, ["examples"])
     assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 15
+    *claims, summary = out.splitlines()
+    assert [line.split()[:2] for line in claims] == [["PASS", name] for name in EXAMPLE_CLAIMS]
+    assert summary == "21/21 checks passed"
     # Deterministic across repeats.
     code, again, _ = run_cli(capsys, ["examples"])
     assert code == 0
@@ -266,6 +293,13 @@ OPERATOR_CLAIM_MUTANTS = {
         "commuting_scale",
         lambda real: lambda frame, op: Frame(frame.dim, frame.vectors @ op),
     ),
+    # A warning on the rescaled window alone: the claim must read the report's verdict.
+    "window-parseval-rescale": (
+        "tightness_check",
+        lambda real: lambda signal, params, window_gain=1.0: real(signal, params, window_gain)._replace(
+            aliasing_warning=window_gain != 1.0
+        ),
+    ),
 }
 
 
@@ -276,6 +310,26 @@ def test_each_operator_claim_fails_under_its_mutant(claim, monkeypatch, capsys):
     code, out, _ = run_cli(capsys, ["examples"])
     assert code == 1
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [claim]
+
+
+def test_closed_form_mutant_fails_exactly_its_claims(monkeypatch, capsys):
+    # 2^alpha off by one part in a million in S^alpha = I + (2^alpha - 1) 11^T/d.
+    monkeypatch.setattr(
+        reference, "_power_operator", lambda dim, alpha: np.eye(dim) + (2.0**alpha * (1 + 1e-6) - 1.0) / dim
+    )
+    code, out, _ = run_cli(capsys, ["examples"])
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "2d-frame-operator",
+        "2d-power-family-alpha=-1",
+        "2d-power-family-alpha=-0.5",
+        "2d-power-family-alpha=-0.333333",
+        "2d-power-family-alpha=-0.666667",
+        "2d-log-exact-inverse",
+        "3d-frame-operator",
+        "3d-tight-family",
+        "3d-commuting-rescale",
+    ]
 
 
 @pytest.mark.parametrize(

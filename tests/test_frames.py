@@ -47,7 +47,7 @@ from framecalc import (
     synthesis,
 )
 from framecalc.contract import _check_count
-from framecalc.reference import expected_power_family_2d, expected_tight_family_3d
+from framecalc.reference import _basis_plus_diagonal, _power_operator, expected_power_family
 
 SQRT2 = math.sqrt(2.0)
 
@@ -253,7 +253,7 @@ def test_alpha_frame_2d_reference_families():
     for alpha in (-1.0, -0.5, -1.0 / 3.0, -2.0 / 3.0):
         family = alpha_frame(frame, alpha)
         np.testing.assert_allclose(
-            family.vectors, expected_power_family_2d(alpha), atol=1e-10
+            family.vectors, expected_power_family(2, alpha), atol=1e-10
         )
 
 
@@ -275,8 +275,20 @@ def test_alpha_frame_zero_is_identity():
 
 def test_alpha_frame_3d_tight_family():
     family = alpha_frame(demo_frame_3d(), -0.5)
-    np.testing.assert_allclose(family.vectors, expected_tight_family_3d(), atol=1e-9)
+    np.testing.assert_allclose(family.vectors, expected_power_family(3, -0.5), atol=1e-9)
     assert family.declared_bounds == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_demo_frame_closed_form_in_every_dimension(dim):
+    # S = I + 11^T/dim, so S^alpha = I + (2^alpha - 1) 11^T/dim.
+    frame = _basis_plus_diagonal(dim)
+    np.testing.assert_allclose(frame_operator(frame), _power_operator(dim, 1.0), rtol=0, atol=1e-13)
+    for alpha in (-1.0, -2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 0.5, 1.0):
+        np.testing.assert_allclose(
+            alpha_frame(frame, alpha).vectors, expected_power_family(dim, alpha), rtol=0, atol=1e-13
+        )
+    assert np.array_equal(_power_operator(dim, 0.0), np.eye(dim))
 
 
 def test_alpha_frame_bounds_stamp_follows_exponent_sign():
