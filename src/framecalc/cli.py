@@ -134,7 +134,7 @@ def _cmd_perturb(args) -> int:
     for row in violations:
         print(
             f"bound violated at N={row.order}: measured {_format_float(row.measured_error)} "
-            f"> bound {_format_float(row.analytical_bound)}",
+            f"> bound {_format_float(row.analytical_bound)} + floor {_format_float(row.floor)}",
             file=sys.stderr,
         )
     return 1 if violations else 0

@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .approx import (binomial_bounds, binomial_remainder_norm, bound_satisfied,
-                     log_exact_inverse, log_remainder_norm, zn_bound)
-from .contract import _check_count
+from .approx import (_floor, binomial_bounds, binomial_remainder_norm, log_exact_inverse,
+                     log_remainder_norm, zn_bound)
+from .contract import Scheme, _check_count
 from .frames import (Frame, alpha_frame, commuting_scale, frame_operator, frame_spectrum,
                      proposition1_check)
 from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, unit_powers, window_g
@@ -171,21 +171,23 @@ def builtin_checks() -> list[CheckResult]:
         )
 
     # The paper's operator-level claims at the declared bounds: S^(-1) equals
-    # exp(c R_log)/sqrt(A B), and each truncation operator is within its bound.
+    # exp(c R_log)/sqrt(A B), and each truncation operator is within its bound
+    # plus its rounding floor, which takes no product over the frame.
     lower, upper = frame2.declared_bounds
     inverse_dev = _max_deviation(log_exact_inverse(frame2, lower, upper), _power_operator(2, -1.0))
     record("2d-log-exact-inverse", inverse_dev, 1e-10)
-    for name, norm, bound in (
-        (
-            "2d-binomial-truncation-norm",
-            binomial_remainder_norm,
-            lambda n: binomial_bounds(lower, upper, n).tn_bound,
-        ),
-        ("2d-log-truncation-norm", log_remainder_norm, lambda n: zn_bound(lower, upper, n)),
+    for name, scheme, norm, bound in (
+        ("2d-binomial-truncation-norm", Scheme.BINOMIAL_HALF, binomial_remainder_norm,
+         lambda n: binomial_bounds(lower, upper, n).tn_bound),
+        ("2d-log-truncation-norm", Scheme.LOGARITHMIC, log_remainder_norm,
+         lambda n: zn_bound(lower, upper, n)),
     ):
-        pairs = [(norm(frame2, lower, upper, n), bound(n)) for n in range(11)]
-        worst = max(measured / limit for measured, limit in pairs)
-        ok = all(bound_satisfied(measured, limit) for measured, limit in pairs)
+        rows = [
+            (norm(frame2, lower, upper, n), bound(n), _floor(scheme, lower, upper, n, frame2.dim, 0))
+            for n in range(11)
+        ]
+        worst = max(measured / limit for measured, limit, _ in rows)
+        ok = all(measured <= limit + floor for measured, limit, floor in rows)
         results.append(CheckResult(name, ok, f"worst norm/bound {worst:.3e} over N = 0..10"))
 
     frame3 = demo_frame_3d()

@@ -20,7 +20,6 @@ from framecalc import (
     analysis,
     binomial_bounds,
     binomial_remainder_norm,
-    bound_satisfied,
     demo_frame_2d,
     demo_frame_3d,
     demo_gabor_params,
@@ -160,7 +159,7 @@ def test_criterion_5_neumann_scheme():
         assert row.analytical_bound == pytest.approx(
             (1.0 / 3.0) ** (row.order + 1), rel=1e-12
         )
-        assert bound_satisfied(row.measured_error, row.analytical_bound)
+        assert row.measured_error <= row.analytical_bound + row.floor
     assert report.rows[10].measured_error <= 2e-5
 
     rng = np.random.default_rng(5002)
@@ -179,7 +178,7 @@ def test_criterion_6_binomial_scheme():
         tail = SQRT2 * 0.5 ** (row.order + 1)
         expected = tail * (2.0 + tail)
         assert row.analytical_bound == pytest.approx(expected, rel=1e-12)
-        assert bound_satisfied(row.measured_error, row.analytical_bound)
+        assert row.measured_error <= row.analytical_bound + row.floor
 
     for order in range(11):
         empirical = binomial_remainder_norm(frame, 1.0, 2.0, order)

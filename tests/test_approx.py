@@ -15,8 +15,8 @@ from framecalc import (
     binomial_bounds,
     binomial_remainder_norm,
     binomial_tight,
-    bound_satisfied,
     demo_frame_2d,
+    demo_frame_3d,
     dual_frame,
     eigh,
     frame_operator,
@@ -28,6 +28,7 @@ from framecalc import (
     neumann_bound,
     neumann_dual,
     operator_norm,
+    optimal_bounds,
     run_convergence,
     spectral_function,
     symmetrize,
@@ -379,7 +380,7 @@ def test_run_convergence_neumann_reference():
     assert len(report.rows) == 9
     for row in report.rows:
         assert row.analytical_bound == pytest.approx((1.0 / 3.0) ** (row.order + 1), rel=1e-12)
-        assert bound_satisfied(row.measured_error, row.analytical_bound)
+        assert row.measured_error <= row.analytical_bound + row.floor
     bounds = [row.analytical_bound for row in report.rows]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     assert report.passed
@@ -390,14 +391,14 @@ def test_run_convergence_binomial_reference():
     for row in report.rows:
         expected = binomial_bounds(1.0, 2.0, row.order).reconstruction_bound
         assert row.analytical_bound == pytest.approx(expected, rel=1e-12)
-        assert bound_satisfied(row.measured_error, row.analytical_bound)
+        assert row.measured_error <= row.analytical_bound + row.floor
 
 
 def test_run_convergence_logarithmic_reference():
     report = run_convergence(demo_frame_2d(), Scheme.LOGARITHMIC, 1.0, 2.0, 8, 16, 5)
     for row in report.rows:
         assert row.analytical_bound == pytest.approx(log_bound(1.0, 2.0, row.order), rel=1e-12)
-        assert bound_satisfied(row.measured_error, row.analytical_bound)
+        assert row.measured_error <= row.analytical_bound + row.floor
 
 
 def test_run_convergence_tight_frame_is_immediate():
@@ -432,6 +433,89 @@ def test_run_convergence_random_sweep_bound_dominance():
         for scheme in schemes:
             report = run_convergence(frame, scheme, 1.0, ratio, 10, 24, 7)
             assert report.passed, (scheme, ratio, report.violations())
+
+
+# ---------------------------------------------------------------------------
+# Rounding floor of the convergence verdict
+# ---------------------------------------------------------------------------
+
+
+def test_demo_floors_stay_below_the_old_absolute_slack():
+    # A verdict on the demo frames is no looser than the fixed 1e-13 it replaced.
+    for frame in (demo_frame_2d(), demo_frame_3d()):
+        for scheme in Scheme:
+            report = run_convergence(frame, scheme, 1.0, 2.0, 10, 16, 5)
+            assert all(0.0 < row.floor < 1e-13 for row in report.rows), (frame.dim, scheme)
+
+
+def wide_frame(rng, ratio):
+    """A frame with n in {4, 8, 16, 32} and 2n vectors whose frame-operator
+    spectrum has ends 1 and ``ratio`` and random interior points, rotated by
+    random orthonormal factors."""
+    dim = int(rng.choice([4, 8, 16, 32]))
+    spectrum = np.concatenate([[1.0, ratio], rng.uniform(1.0, ratio, dim - 2)])
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    analysis, _ = np.linalg.qr(rng.standard_normal((2 * dim, dim)))
+    return Frame(dim, (analysis * np.sqrt(spectrum)) @ basis.T)
+
+
+def test_wide_ratio_sweep_holds_on_bound_plus_floor():
+    # Logarithmic rows reach the rounding floor of their measured error once
+    # the bound falls below it, which wide B/A makes about (B/A) * eps; the
+    # Neumann and BinomialHalf sweeps pin the rows that hold without it.
+    rng = np.random.default_rng(11)
+    sweeps = [(Scheme.LOGARITHMIC, 120, 120, lambda: 10.0 ** rng.uniform(0.5, 8.0))]
+    sweeps.append((Scheme.NEUMANN, 40, 200, lambda: 10.0 ** rng.uniform(0.1, 3.0)))
+    sweeps.append((Scheme.BINOMIAL_HALF, 40, 120, lambda: rng.uniform(1.05, 2.9)))
+    for scheme, frames, n_max, draw_ratio in sweeps:
+        failed, floored, worst = 0, 0, 0.0
+        for _ in range(frames):
+            frame = wide_frame(rng, draw_ratio())
+            report = run_convergence(frame, scheme, *optimal_bounds(frame), n_max, 32, 11)
+            failed += not report.passed
+            for row in report.rows:
+                floored += row.measured_error > row.analytical_bound
+                worst = max(worst, (row.measured_error - row.analytical_bound) / row.floor)
+        print(f"{scheme.value}: {failed} of {frames} reports fail; worst (measured - bound)/floor {worst:.3f}")
+        assert failed == 0
+        if scheme is Scheme.LOGARITHMIC:
+            assert floored > 0
+
+
+def caught_orders(monkeypatch, frame, scheme, rule):
+    """Orders at which a run with ``rule`` substituted for the scheme's measures
+    past its bound plus its floor, and past its bound plus 100 times its floor."""
+    with monkeypatch.context() as patch:
+        patch.setitem(_RULES, scheme, rule)
+        rows = run_convergence(frame, scheme, 1.0, 2.0, 10, 16, 5).rows
+    return [{row.order for row in rows if row.measured_error > row.analytical_bound + scale * row.floor}
+            for scale in (1.0, 100.0)]
+
+
+# Orders at which one series weight, scaled by 1 + 1e-6 at k = 1 or 3, must be
+# caught: Neumann's odd orders from k on, Logarithmic's orders from 6 (7 for k = 3).
+NUDGED_WEIGHT_CAUGHT = {
+    (Scheme.NEUMANN, 1): {1, 3, 5, 7, 9},
+    (Scheme.NEUMANN, 3): {3, 5, 7, 9},
+    (Scheme.LOGARITHMIC, 1): {6, 7, 8, 9, 10},
+    (Scheme.LOGARITHMIC, 3): {7, 8, 9, 10},
+}
+
+
+def test_mutated_rules_are_caught_through_the_floor(monkeypatch):
+    # A floor that swallowed real defects would hide these; they stay caught at
+    # 100 times the floor. BinomialHalf's nudged weight is not caught on the
+    # demo frames at any floor, because its h(2+h) bound is loose there.
+    logarithmic = _RULES[Scheme.LOGARITHMIC]
+    factorial = logarithmic._replace(bound=lambda a, b, n: log_bound(a, b, n) / (n + 2))
+    for frame in (demo_frame_2d(), demo_frame_3d()):
+        for caught in caught_orders(monkeypatch, frame, Scheme.LOGARITHMIC, factorial):
+            assert {0, 1, 2, 3} <= caught, (frame.dim, sorted(caught))
+        for (scheme, k), expected in NUDGED_WEIGHT_CAUGHT.items():
+            weight = _RULES[scheme].weight
+            nudged = _RULES[scheme]._replace(weight=lambda j: weight(j) * (1.0 + 1e-6 * (j == k)))
+            for caught in caught_orders(monkeypatch, frame, scheme, nudged):
+                assert expected <= caught, (frame.dim, scheme, k, sorted(caught))
 
 
 def test_scheme_agreement_in_the_limit():

@@ -16,7 +16,7 @@ from conftest import random_frame
 import framecalc
 import framecalc.cli as cli
 import framecalc.reference as reference
-from framecalc import Frame, bound_satisfied, demo_frame_2d, demo_frame_3d, frame_to_json, load_frame, optimal_bounds
+from framecalc import Frame, demo_frame_2d, demo_frame_3d, frame_to_json, load_frame, optimal_bounds
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
 from framecalc.reference import expected_power_family
 
@@ -169,12 +169,15 @@ def test_perturb_writes_reference_csv(frame_file, tmp_path, capsys):
     with out_path.open() as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 9
-    for n, row in enumerate(rows):
+    # The CSV carries no floor; the library's report of the same run does.
+    report = framecalc.run_convergence(load_frame(frame_file), Scheme.NEUMANN, 1.0, 2.0, 8, 16, 3)
+    for n, (row, reported) in enumerate(zip(rows, report.rows)):
         # The fixture declares bounds (1, 2), and the table runs on them.
         assert (row["scheme"], row["A"], row["B"]) == ("Neumann", "1", "2")
         assert int(row["N"]) == n
         assert float(row["analytical_bound"]) == pytest.approx((1 / 3) ** (n + 1), rel=1e-12)
-        assert bound_satisfied(float(row["measured_error"]), float(row["analytical_bound"]))
+        assert float(row["measured_error"]) == reported.measured_error
+        assert float(row["measured_error"]) <= float(row["analytical_bound"]) + reported.floor
 
 
 def test_perturb_defaults_to_optimal_bounds(tmp_path, capsys):
@@ -220,7 +223,7 @@ def test_perturb_bound_violation_exits_one(frame_file, capsys, monkeypatch):
             scheme=Scheme.NEUMANN,
             lower=1.0,
             upper=2.0,
-            rows=(ConvergenceRow(0, 1.0, 0.5),),
+            rows=(ConvergenceRow(0, 1.0, 0.5, 0.25), ConvergenceRow(1, 0.75, 0.5, 0.25)),
             samples=1,
             seed=0,
         )
@@ -228,7 +231,8 @@ def test_perturb_bound_violation_exits_one(frame_file, capsys, monkeypatch):
     monkeypatch.setattr(framecalc.approx, "run_convergence", doctored)
     code, _, err = run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann"])
     assert code == 1
-    assert "bound violated" in err
+    # Only the row past its bound plus its floor is reported.
+    assert err == "bound violated at N=0: measured 1 > bound 0.5 + floor 0.25\n"
 
 
 def test_leftover_arithmetic_error_exits_two(frame_file, capsys, monkeypatch):
