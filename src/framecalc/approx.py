@@ -27,7 +27,7 @@ import numpy as np
 
 from .contract import Scheme, _check_count, _format_float
 from .frames import Frame, _checked_bounds, _checked_frame_bounds, _probes, frame_spectrum
-from .linalg import operator_norm, spectral_function, symmetrize
+from .linalg import _svd_error, operator_norm, spectral_function, symmetrize
 
 __all__ = [
     "BinomialBounds",
@@ -277,11 +277,11 @@ _RULES = {
 }
 
 
-def _floor(scheme: Scheme, lower: float, upper: float, order: int, dim: int, count: int) -> float:
-    """How far rounding can move a measured order-N reconstruction error, to
-    first order in u = 2^-53, charging gamma_k = k u/(1 - k u) in norm to each
-    length-k inner product (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3). ``count = 0`` floors a truncation operator instead.
+def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame, count: int) -> float:
+    """How far rounding can move a measured order-N reconstruction error of
+    ``frame``, to first order in u = 2^-53, charging gamma_k = k u/(1 - k u) in
+    norm to each length-k inner product (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator.
 
     The family is s P(G) V, P the series in the generator G and ||V||^2 <= B.
     P's majorant M = sum |c_k| ||G||^k is (1-q)^power for the Neumann generator
@@ -292,18 +292,17 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, dim: int, cou
       symmetrize) and k products term @ op (dim, and 2 for the weight), so the
       sum holds 2 dim + 7 times M's mean order, -power q/(1-q) or r, at most N;
     - adding the N terms, gamma_N; the scale, 3 roundings to form and 1 to apply.
-    A relative backward error in S moves it by at most B/A: the SVD's, 2 (u^(7/8) +
-    gamma_count) for the relative tolerance u^(-1/8) u at which LAPACK's
-    bidiagonal QR (dbdsqr) deflates and the reduction of V's columns, and g's 3
-    roundings of lambda. So do the coefficients (dim), the product over count
-    terms (count) and the residual's norm over the probe's (2 dim + 4 roundings
-    of at most B/A + 1 <= 2 B/A).
+    A relative backward error in S moves it by at most B/A: the SVD's, twice
+    ``linalg._svd_error`` of the frame's rows, and g's 3 roundings of lambda. So
+    do the coefficients (dim), the product over count terms (count) and the
+    residual's norm over the probe's (2 dim + 4 roundings of at most
+    B/A + 1 <= 2 B/A).
     """
-    ratio, power = upper / lower, _RULES[scheme].power
+    ratio, power, dim, u = upper / lower, _RULES[scheme].power, frame.dim, 2.0**-53
     mean = 0.5 * math.log(ratio) if scheme is Scheme.LOGARITHMIC else power * (1.0 - ratio) / 2.0
     family = 2 * ((2 * dim + 7) * min(order, mean) + order + 4)
-    backward = 2 * (2.0 ** (53 / 8) + count) + 3
-    return ratio * 2.0**-53 * (family + backward + (dim + count) + 2 * (2 * dim + 4))
+    backward = 2 * (_svd_error(frame.count) / u) + 3
+    return ratio * u * (family + backward + (dim + count) + 2 * (2 * dim + 4))
 
 
 def _series(
@@ -385,7 +384,7 @@ def run_convergence(
         # The tight family S^(-1/2) phi_i is its own partner; a dual pairs with the frame.
         coeffs = family @ probes if rule.power == -0.5 else exact_coeffs
         errors = np.linalg.norm(family.T @ coeffs - probes, axis=0) / probe_norms
-        floor = _floor(scheme, lower, upper, order, frame.dim, frame.count)
+        floor = _floor(scheme, lower, upper, order, frame, frame.count)
         rows.append(ConvergenceRow(order, float(np.max(errors)), rule.bound(lower, upper, order), floor))
 
     return ConvergenceReport(

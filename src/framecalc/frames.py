@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contract import NotAFrameError, _check_count, frame_from_dict, frame_to_json, load_frame
-from .linalg import SVD, EigenDecomposition, eigh, spectral_function, svd, symmetrize
+from .linalg import SVD, EigenDecomposition, _svd_error, eigh, spectral_function, svd, symmetrize
 
 __all__ = [
     "BoundCheckReport",
@@ -48,11 +48,6 @@ __all__ = [
 # ``FrameDiagnostics.is_frame`` makes). The rule is a ratio, so scaling a
 # family never changes its verdict.
 FRAME_RANK_TOLERANCE = 1e-12
-
-# Relative slack at each end when validating declared bounds against the
-# spectrum: A may exceed lambda_min, and B fall short of lambda_max, by this
-# fraction of that eigenvalue.
-BOUNDS_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +132,8 @@ class FrameDiagnostics(NamedTuple):
 
 
 class BoundCheckReport(NamedTuple):
-    """Result of an empirical frame-bound sweep for one power family."""
+    """Result of an empirical frame-bound sweep for one power family, judged on
+    the tolerance that ``proposition1_check`` derives."""
 
     alpha: float
     lower: float
@@ -167,11 +163,17 @@ def _checked_bounds(lower: float, upper: float) -> tuple[float, float]:
 
 
 def _checked_frame_bounds(frame: Frame, lower: float, upper: float) -> tuple[float, float]:
-    """Valid bounds (A, B) of a frame that enclose its frame-operator spectrum,
-    up to BOUNDS_RTOL at each end."""
+    """Valid bounds (A, B) of a frame, refused only where its factorization proves
+    they miss the spectrum. ``svd`` is exact for some V + dV, ||dV|| <= eps ||V||
+    with eps = ``linalg._svd_error(count)``; by Weyl, for computed l_min, l_max and
+    r = sqrt(l_max / l_min), lambda_min <= l_min (1 + eps r)^2 and lambda_max >=
+    l_max (1 - eps)^2, with 3 u for rounding l = s^2, 1 +- t and the product."""
     lower, upper = _checked_bounds(lower, upper)
     lam_min, lam_max = _frame_bounds(frame, "bounds are undefined")
-    if lower > lam_min * (1.0 + BOUNDS_RTOL) or upper < lam_max * (1.0 - BOUNDS_RTOL):
+    eps, u = _svd_error(frame.count), 2.0**-53
+    spread = eps * math.sqrt(lam_max / lam_min)
+    t_lo, t_hi = spread * (2.0 + spread) + 3 * u, eps * (2.0 - eps) + 3 * u
+    if lower > lam_min * (1.0 + t_lo) or upper < lam_max * (1.0 - t_hi):
         raise ValueError(
             f"declared bounds ({lower}, {upper}) do not enclose the "
             f"frame-operator spectrum [{lam_min}, {lam_max}]"
@@ -286,9 +288,15 @@ def proposition1_check(
     Checks A'||f||^2 <= sum_i |<phi_i^(alpha), f>|^2 <= B'||f||^2 on ``samples``
     seeded unit vectors plus every eigenvector of the frame operator, along
     with the identity sum_i |<phi_i^(alpha), f>|^2 = <S^(2a+1) f, f>.
-    Violations beyond the tolerance 1e-9 * B' * max ||f||^2 are reported, not
-    raised; like the frame inequality itself, the tolerance scales with the
-    family, so the verdict does not depend on the frame's scale.
+    Violations beyond the tolerance are reported, not raised. It bounds, to
+    first order in u = 2^-53, what rounding adds to any violation, in units of
+    B' max ||f||^2: the family U diag(s^g) W^T (g = 2a + 1) and S^g share one
+    SVD, whose U and W are each within eps = ``linalg._svd_error(count)`` of
+    orthonormal, so kappa does not enter. That gives 4 eps to the bounds (2 eps
+    to the identity); charging k u to each length-k product, the family's sums
+    add 4 dim + 2 + count, S^g (fl(s^2)^g against fl(s^g)^2, its forming and
+    pairing) 3 dim + |g| + 5 and ||f||^2 with the stamp dim + 2. Both sums are
+    at most 4 eps + (7 dim + count + |g| + 7) u.
     """
     _frame_bounds(frame, "bounds are undefined")
 
@@ -303,6 +311,7 @@ def proposition1_check(
     max_lower = max(0.0, float(np.max(lower * norm_sq - totals)))
     max_upper = max(0.0, float(np.max(totals - upper * norm_sq)))
     max_identity = float(np.max(np.abs(totals - quadratic)))
+    slack = 4 * _svd_error(frame.count) + (7 * frame.dim + frame.count + abs(2 * alpha + 1) + 7) * 2.0**-53
     return BoundCheckReport(
         alpha=float(alpha),
         lower=lower,
@@ -311,7 +320,7 @@ def proposition1_check(
         max_lower_violation=max_lower,
         max_upper_violation=max_upper,
         max_identity_residual=max_identity,
-        tolerance=1e-9 * upper * float(np.max(norm_sq)),
+        tolerance=upper * float(np.max(norm_sq)) * slack,
     )
 
 

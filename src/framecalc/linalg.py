@@ -131,6 +131,13 @@ def svd(matrix) -> SVD:
     return _svd(left[:, ::-1] * signs, singular_values[::-1], right * signs)
 
 
+def _svd_error(count: int) -> float:
+    """eps = u (u^(-1/8) + count), u = 2^-53, bounds to first order ``svd``'s backward error
+    ||dV|| / ||V|| on a count-row V and each factor's distance from orthonormal: dbdsqr
+    deflates at u^(-1/8) u and the reduction of V's columns adds count u."""
+    return 2.0**-53 * (2.0 ** (53 / 8) + count)
+
+
 def spectral_function(decomp: EigenDecomposition, func: Callable[[float], float]) -> np.ndarray:
     """The operator ``V @ diag(func(w)) @ V.T`` of a decomposition, exactly symmetric.
 

@@ -183,7 +183,7 @@ def builtin_checks() -> list[CheckResult]:
          lambda n: zn_bound(lower, upper, n)),
     ):
         rows = [
-            (norm(frame2, lower, upper, n), bound(n), _floor(scheme, lower, upper, n, frame2.dim, 0))
+            (norm(frame2, lower, upper, n), bound(n), _floor(scheme, lower, upper, n, frame2, 0))
             for n in range(11)
         ]
         worst = max(measured / limit for measured, limit, _ in rows)

@@ -428,6 +428,18 @@ def test_declared_bounds_are_checked_relative_to_the_spectrum(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bounds", [[1.0000000005, 2.0], [1.0, 1.9999999995]])
+def test_perturb_refuses_bounds_just_inside_the_spectrum(bounds, tmp_path, capsys):
+    # One end of the 2-d demo's spectrum [1, 2] moved 5e-10 inward: the
+    # schemes would hold a bound built on it, so the file is refused.
+    path = tmp_path / "inward.json"
+    path.write_text(json.dumps({"dim": 2, "vectors": demo_frame_2d().vectors.tolist(), "bounds": bounds}))
+    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", "neumann"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: declared bounds") and "do not enclose" in err
+    assert err.count("\n") == 1
+
+
 SCALE_EXPONENTS = (-160, -40, 0, 40, 160)
 
 

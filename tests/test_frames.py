@@ -14,6 +14,7 @@ from framecalc import (
     FrameDiagnostics,
     GaborParams,
     NotAFrameError,
+    SVD,
     Scheme,
     alpha_frame,
     analysis,
@@ -47,6 +48,7 @@ from framecalc import (
     synthesis,
 )
 from framecalc.contract import _check_count
+from framecalc.linalg import _svd_error
 from framecalc.reference import _basis_plus_diagonal, _power_operator, expected_power_family
 
 SQRT2 = math.sqrt(2.0)
@@ -117,6 +119,47 @@ def test_declared_bounds_need_not_be_optimal():
     frame = Frame(2, np.eye(2) * 2.0, (1.0, 10.0))
     assert frame.declared_bounds == (1.0, 10.0)
     assert optimal_bounds(frame) == pytest.approx((4.0, 4.0))
+
+
+@pytest.mark.parametrize("bounds", [[1.0000000005, 2.0], [1.0, 1.9999999995]])
+def test_bounds_just_inside_the_spectrum_do_not_load(bounds, tmp_path):
+    # One end of the 2-d demo's spectrum [1, 2] moved 5e-10 inward is not a
+    # frame bound, and the factorization proves it.
+    path = tmp_path / "inward.json"
+    path.write_text(json.dumps({"dim": 2, "vectors": demo_frame_2d().vectors.tolist(), "bounds": bounds}))
+    with pytest.raises(ValueError, match="do not enclose"):
+        load_frame(path)
+
+
+def test_bound_rule_slack_is_the_factorization_error():
+    # On the 2-d demo the SVD's error puts the slack near 3e-14 for A and
+    # 2e-14 for B, so 1e-12 inside the computed spectrum is refused.
+    vectors = demo_frame_2d().vectors
+    lam_min, lam_max = optimal_bounds(demo_frame_2d())
+    for bounds in [(lam_min * (1.0 + 1e-12), 2.0), (1.0, lam_max * (1.0 - 1e-12))]:
+        with pytest.raises(ValueError, match="do not enclose"):
+            Frame(2, vectors, bounds)
+    assert Frame(2, vectors, (1.0, 2.0)).declared_bounds == (1.0, 2.0)
+
+
+def test_power_families_reload_through_the_bound_rule():
+    # Every family alpha_frame stamps reads back, up to kappa = 1e12; the worst
+    # gap at each end is printed as a share of that end's slack.
+    rng = np.random.default_rng(131)
+    u, worst = 2.0**-53, [0.0, 0.0]
+    for _ in range(120):
+        dim = int(rng.choice([4, 8, 16, 32]))
+        frame = random_frame(rng, dim, 2 * dim, 1.0, 10.0 ** rng.uniform(6.0, 12.0))
+        family = alpha_frame(frame, float(rng.choice([-1.0, -0.25, 0.0])))
+        if not diagnostics(family).is_frame:
+            continue
+        lower, upper = frame_from_dict(json.loads(frame_to_json(family))).declared_bounds
+        lam_min, lam_max = optimal_bounds(Frame(dim, family.vectors))
+        eps = _svd_error(2 * dim)
+        spread = eps * math.sqrt(lam_max / lam_min)
+        worst[0] = max(worst[0], (lower / lam_min - 1.0) / (spread * (2.0 + spread) + 3 * u))
+        worst[1] = max(worst[1], (1.0 - upper / lam_max) / (eps * (2.0 - eps) + 3 * u))
+    print(f"worst gap/slack: A {worst[0]:.3f}, B {worst[1]:.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +506,19 @@ def test_proposition1_tight_for_any_frame():
         report = proposition1_check(frame, -0.5, samples=25, seed=2)
         assert report.passed
         assert report.lower == report.upper == 1.0
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.5])
+def test_proposition1_catches_an_exponent_off_by_one_part_in_1e9(alpha, monkeypatch):
+    # The family then misses S^(2 alpha + 1) by 1.8e-10 to 1.4e-9 B', which is
+    # thousands of times what rounding can contribute on the demo frames.
+    frames = (demo_frame_2d(), demo_frame_3d())
+    assert all(proposition1_check(frame, alpha, samples=100, seed=5).passed for frame in frames)
+    power = SVD.power
+    monkeypatch.setattr(SVD, "power", lambda self, exponent: power(self, exponent * (1.0 + 1e-9)))
+    for frame in frames:
+        report = proposition1_check(frame, alpha, samples=100, seed=5)
+        assert not report.passed, (frame.dim, report.max_identity_residual, report.tolerance)
 
 
 def test_ill_conditioned_dual_and_bound_check():
