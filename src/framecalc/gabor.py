@@ -132,23 +132,6 @@ def sample_grid(params: GaborParams) -> np.ndarray:
     return np.arange(-half_count, half_count + 1) * params.grid_step
 
 
-def unit_powers(theta: float, rows: int, cols: int, start: float = 0.0) -> np.ndarray:
-    """exp(i*theta*(start + j)*m) for j < rows (axis 0) and m < cols (axis 1).
-
-    Both indices factor, j = F*a + b and m = G*c + d with F = isqrt(rows)
-    and G = isqrt(cols), so the table takes (F + ceil(rows/F)) *
-    (G + ceil(cols/G)) complex exponentials and two complex products per
-    entry. Every angle is theta times an exact product (start an integer or
-    half-integer), rounded once.
-    """
-    fine, narrow = math.isqrt(rows), math.isqrt(cols)
-    js = np.concatenate((np.arange(0, rows, fine), np.arange(start, start + fine)))
-    ms = np.concatenate((np.arange(0, cols, narrow), np.arange(narrow)))
-    exps = np.exp(1j * theta * np.multiply.outer(js, ms))
-    powers = (exps[:, :-narrow, None] * exps[:, None, -narrow:]).reshape(len(js), -1)[:, :cols]
-    return (powers[:-fine, None] * powers[None, -fine:]).reshape(-1, cols)[:rows]
-
-
 def _bump(t: np.ndarray) -> np.ndarray:
     # exp(-1/t) is exactly 0.0 in float64 for t <= 1/746, so flooring t there
     # changes no value and keeps -1/t from overflowing on subnormal t; maximum
@@ -208,24 +191,30 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     rounded up to even, that cover its translate's support with at least one
     to spare each side. The window is evaluated on L points once per distinct
     sub-sample offset of the translates: once when q0 is a multiple of
-    grid_step, twice at a half-integer ratio. Each segment is a slice of the signal padded with
-    zeros (so zero where it hangs past a grid edge); a real signal stays real.
-    The padded copy is the signal scaled by the power of two of its peak, an
-    exact factor that the ratio cancels, and every energy is taken on it: no
-    sum of squares over- or underflows, and scaling the signal by 2^k changes
-    no bit of the report while its peak and samples stay normal floats.
+    grid_step, twice at a half-integer ratio. Each segment is a slice of the
+    signal padded with zeros (so zero where it hangs past a grid edge),
+    multiplied by its window row; a real signal stays real. The padded copy is
+    the signal scaled by the power of two of its peak, an exact factor that the
+    ratio cancels, and every energy is taken on it: none over- or underflows,
+    and scaling the signal by 2^k changes no bit of the report while its peak
+    and samples stay normal floats.
 
-    The phase is taken relative to the segment's midpoint (L-1)/2, a
-    unit-modulus factor that drops out of |c_mn|^2. About it, sample
-    (L-1)/2 + u pairs with (L-1)/2 - u for the H = L/2 offsets u = i + 1/2,
-    i < H. Their sum meets cos(p0 grid_step m u) and their difference
-    sin(p0 grid_step m u), and |c_m|^2 + |c_-m|^2 is twice the sum of the
-    four squares these give for the real and imaginary parts, so every
-    energy below is a sum of squares. The H x (M+1) table of both columns
-    for orders 0..M takes 16*(M+1)*H bytes, built from the complex
-    exponentials that ``unit_powers`` counts; the two real products with it
-    take L*(M+1)*(2S+1) multiply-adds for a real signal and twice that for a
-    complex one, whatever the grid's half width.
+    With theta = p0*grid_step, c_mn is the segment's Fourier sum at m*theta,
+    so the energy of any run of orders is the lag sums R(d) = sum over j and
+    the translates of Re(seg[j + d] conj(seg[j])) against a closed-form
+    kernel in theta*d: the Dirichlet kernel sin((M + 1/2) theta d) /
+    sin(theta d/2) for all orders |m| <= M, and 2 cos(M theta d) for the
+    outermost ring. Two samples d apart lie under the open support only when
+    d*theta < 2*pi, so only the lags below that cut enter, fewer than L. R
+    comes from one transform per translate, zero-padded to nfft, the power of
+    two that is at least L and exceeds twice the cut (256 for p0 = 1 and
+    grid_step = 1/16), complex for a complex signal and real for a real one,
+    and one inverse transform of their summed power spectra. So the check
+    takes 2S+1 transforms of length nfft, which depends neither on M nor on
+    the grid's half width, and O(L) sines and cosines. The transforms run in
+    blocks of translates whose spectra hold at most 4096 values (64 KB), so
+    apart from the padded copy of the signal the check's memory does not
+    grow with M, S or the grid.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
@@ -233,7 +222,9 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     warning is set when those orders carry more than ``TAIL_FRACTION`` of the
     coefficient energy, which signals too high a truncation order for the
     grid; the truncation warning when the outermost modulation ring does,
-    which signals too low a truncation order.
+    which signals too low a truncation order. The aliased energy is its own
+    closed form over the orders from the first past Nyquist to M, not the
+    difference of two large sums.
     """
     values = np.asarray(signal)
     half = _half_count(params)
@@ -248,10 +239,9 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     edge = math.pi / params.p0
     length = (math.ceil(2.0 * edge / step) + 4) // 2 * 2
 
-    # The signal, padded by L zeros each side, as one buffer of its real (and
-    # imaginary) parts.
-    parts = 2 if np.iscomplexobj(values) else 1
-    padded = np.zeros(len(values) + 2 * length, complex if parts == 2 else float)
+    # The signal, padded by L zeros each side; a real signal stays real.
+    is_complex = np.iscomplexobj(values)
+    padded = np.zeros(len(values) + 2 * length, complex if is_complex else float)
     scaled = padded[length:-length]
     scaled[:] = values
     flat = scaled.view(float)
@@ -275,33 +265,53 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     offsets = {}
     row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
     window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
-    # Segments are slices of each part, read as rows of a sliding view. Each
+    # Segments are rows of a sliding view of the padded signal. Each
     # translate's support meets the grid, so each starts within the padding.
     first = (starts + (half + length)).astype(np.intp)
-    shape = (parts, len(values) + length + 1, length)
-    windows = np.ndarray(shape, float, padded, 0, (flat.itemsize, padded.itemsize, padded.itemsize))
-    segments = windows[:, first]
-    segments *= window[row]
+    windows = np.ndarray((len(values) + length + 1, length), padded.dtype, padded, 0, (padded.itemsize,) * 2)
 
-    # Folded offset i < H is u = i + 1/2.
-    pairs = length // 2
-    upper, lower = segments[..., pairs:], segments[..., pairs - 1 :: -1]
-    folded = np.empty((2, *upper.shape))
-    np.add(upper, lower, out=folded[0])
-    np.subtract(upper, lower, out=folded[1])
+    # Two samples d apart lie under the open support only for d*theta < 2*pi,
+    # so the lag sums R(d) vanish from the cut on; below it every
+    # sin(theta*d/2) is positive.
     theta = params.p0 * step
-    orders = np.arange(params.mod_order + 1)
-    phases = unit_powers(theta, pairs, len(orders), 0.5)
-    blocks = folded.reshape(2, -1, pairs) @ np.array([phases.real, phases.imag])
+    phi = np.arange(1, length) * theta
+    cut = int(np.searchsorted(phi, 2.0 * math.pi))
+    # Zero-padded past the segment and past twice the cut, the circular
+    # autocorrelation of each segment is its linear one on lags 0..cut.
+    nfft = 1 << max(length - 1, 2 * cut).bit_length()
+    # The segments go through the transform in blocks of at most 4096
+    # spectrum values (64 KB). One block of all 2S+1 (400 KB for 49
+    # translates at nfft = 512) is large enough that the C allocator hands it
+    # back to the system after a call and the next call faults it in again.
+    transform, bins = (np.fft.fft, nfft) if is_complex else (np.fft.rfft, nfft // 2 + 1)
+    block = max(1, 4096 // bins)
+    power = 0.0
+    for lo in range(0, len(first), block):
+        rows = slice(lo, lo + block)
+        spectra = transform(windows[first[rows]] * window[row[rows]], nfft).view(float)
+        power += np.square(spectra, out=spectra).sum(axis=0)
+    power = power[0::2] + power[1::2]
+    lag_sums = np.fft.ifft(power).real if is_complex else np.fft.irfft(power, nfft)
+    zero, lags, half_phi = float(lag_sums[0]), lag_sums[1 : cut + 1], 0.5 * phi[:cut]
+    weighted = lags / np.sin(half_phi)
 
-    # sums[m] sums (|c_mn|^2 + |c_-mn|^2)/2 over n, or |c_0n|^2 for m = 0.
-    sums = np.square(blocks, out=blocks).reshape(-1, len(orders)).sum(axis=0)
-    total = float(sums @ np.where(orders, 2.0, 1.0))
+    order = params.mod_order
+    # Every order |m| <= M: R against the Dirichlet kernel.
+    total = (2 * order + 1) * zero + 2.0 * float(weighted @ np.sin((2 * order + 1) * half_phi))
     # The outermost modulation ring, both edges (order 0 twice when M = 0).
-    tail = 2.0 * float(sums[-1])
-    # Both signs of every order past Nyquist, a suffix of the orders; order 0
-    # never is.
-    aliased = 2.0 * float(sums[np.searchsorted(orders * theta, math.pi, "right") :].sum())
+    tail = 2.0 * zero + 4.0 * float(lags @ np.cos(2 * order * half_phi))
+    # Both signs of the orders alias..M past Nyquist, alias the first order
+    # with fl(alias*theta) > pi; order 0 never is.
+    alias = min(order + 1, math.floor(math.pi / theta) + 1)
+    while alias > 1 and (alias - 1) * theta > math.pi:
+        alias -= 1
+    while alias <= order and alias * theta <= math.pi:
+        alias += 1
+    count = order + 1 - alias
+    aliased = 0.0
+    if count:
+        rings = np.sin(count * half_phi) * np.cos((order + alias) * half_phi)
+        aliased = 2.0 * count * zero + 4.0 * float(weighted @ rings)
 
     ratio = step * total / norm_sq
     scaled_target = params.tight_constant * mantissa**2

@@ -20,7 +20,7 @@ from .approx import (_floor, binomial_bounds, binomial_remainder_norm, log_exact
 from .contract import Scheme, _check_count
 from .frames import (Frame, alpha_frame, commuting_scale, frame_operator, frame_spectrum,
                      proposition1_check)
-from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, unit_powers, window_g
+from .gabor import TIGHTNESS_RTOL, GaborParams, sample_grid, tightness_check, window_g
 
 __all__ = [
     "CheckResult",
@@ -87,9 +87,9 @@ def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
 
     Each is a real pair of Gaussian bumps with centers within 2*q0 of the
     origin; the last carries a slow complex modulation exp(0.2i*x) for
-    coverage, taken as powers of exp(0.2i*grid_step) from about 3*sqrt(G)
-    complex exponentials on a grid of G points. All 2*count bumps are one
-    broadcast over a (2*count, G) array.
+    coverage, taken as the G//2 + 1 powers of exp(0.2i*grid_step) that
+    ``unit_powers`` builds from about sqrt(2*G) complex exponentials on a grid
+    of G points. All 2*count bumps are one broadcast over a (2*count, G) array.
     """
     count = _check_count("count", count)
     grid = sample_grid(params)
@@ -113,9 +113,22 @@ def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
     if signals:
         # Powers k = 0..half of exp(0.2i*grid_step), mirrored as their
         # conjugates onto the negative half of the symmetric grid.
-        powers = unit_powers(0.2 * params.grid_step, 1, len(grid) // 2 + 1, start=1)[0]
+        powers = unit_powers(0.2 * params.grid_step, len(grid) // 2 + 1)
         signals[-1] = signals[-1] * np.concatenate((powers[:0:-1].conj(), powers))
     return signals
+
+
+def unit_powers(theta: float, count: int) -> np.ndarray:
+    """exp(i*theta*m) for m < count.
+
+    The index factors, m = F*c + d with F = isqrt(count), so the powers take
+    F + ceil(count/F) complex exponentials and one complex product each. Every
+    angle is theta times an integer, rounded once.
+    """
+    fine = math.isqrt(count)
+    ms = np.concatenate((np.arange(0, count, fine), np.arange(fine)))
+    exps = np.exp(1j * theta * ms)
+    return (exps[:-fine, None] * exps[None, -fine:]).reshape(-1)[:count]
 
 
 class CheckResult(NamedTuple):

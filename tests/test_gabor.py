@@ -16,7 +16,8 @@ from framecalc import (
     tightness_check,
     window_g,
 )
-from framecalc.gabor import TAIL_FRACTION, TIGHTNESS_RTOL, TightnessReport, unit_powers
+from framecalc.gabor import TAIL_FRACTION, TIGHTNESS_RTOL, TightnessReport
+from framecalc.reference import unit_powers
 
 
 def test_smooth_nu_boundary_values():
@@ -325,7 +326,7 @@ def _looped_probes(params, count, seed):
             amplitude = rng.uniform(0.5, 1.5)
             values += amplitude * np.exp(-((grid - center) ** 2) / (2.0 * width**2))
         signals.append(values)
-    powers = unit_powers(0.2 * params.grid_step, 1, len(grid) // 2 + 1, start=1)[0]
+    powers = unit_powers(0.2 * params.grid_step, len(grid) // 2 + 1)
     signals[-1] = signals[-1] * np.concatenate((powers[:0:-1].conj(), powers))
     return signals
 
@@ -398,6 +399,19 @@ FULL_GRID_CASES = [
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), grid_halfwidth=2.0), "real", 0.37, True),
     # a coarse grid: three samples per translation step, L = 8
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 3, mod_order=1), "window", 1.0, True),
+    # ... cut at M = 3, the first order past Nyquist (3*4/3 > pi): that order
+    # alone raises the aliasing warning.
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 3, mod_order=3), "window", 1.0, True),
+    # 2*pi/(p0*grid_step) is an integer P, 25 and 24: lag P, where two samples
+    # span the whole support, sits right at the cut. Each at the Nyquist order
+    # P//2 and at 3P.
+    (GaborParams(p0=2 * math.pi / 6.25, q0=4.0, grid_step=0.25, mod_order=12), "complex", 1.0, False),
+    (GaborParams(p0=2 * math.pi / 6.25, q0=4.0, grid_step=0.25, mod_order=75), "window", 1.0, True),
+    (GaborParams(p0=2 * math.pi / 6.0, q0=4.0, grid_step=0.25, mod_order=12), "real", 1.0, True),
+    (GaborParams(p0=2 * math.pi / 6.0, q0=4.0, grid_step=0.25, mod_order=72), "complex", 1.0, True),
+    # p0 3 ulps below P = 25: 25*p0*grid_step rounds below 2*pi, so lag 25 is
+    # kept, with sin(theta*25/2) a few ulps above zero.
+    (GaborParams(p0=2 * math.pi / 6.25 - 3 * math.ulp(2 * math.pi / 6.25), q0=4.0, grid_step=0.25, mod_order=75), "complex", 1.0, True),
 ]
 
 
@@ -411,7 +425,9 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
         signal = signals[-1] if probe == "complex" else signals[0]
         assert signal.dtype == (np.complex128 if probe == "complex" else np.float64)
         assert np.any(signal.imag) == (probe == "complex")
-    report = tightness_check(signal, params, window_gain=gain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = tightness_check(signal, params, window_gain=gain)
     ratio, warning, aliasing = _full_grid_tightness(signal, params, gain)
     assert abs(report.ratio - ratio) <= 1e-12 * ratio
     assert report.truncation_warning == warning == warns
@@ -489,3 +505,23 @@ def test_tightness_memory_stays_on_the_window_support():
         tracemalloc.stop()
     assert peak < 8_000_000
     assert report.relative_error <= 0.01 and not report.truncation_warning
+
+
+def test_tightness_memory_does_not_grow_with_the_order():
+    # G = 6145, the complex probe, and M at 0.8, 2.1 and 5 times the Nyquist
+    # order pi/(p0*grid_step): no array of the check has an order axis.
+    grid = dict(p0=1.0, q0=4.0, grid_step=4.0 / 128, grid_halfwidth=24 * 4.0)
+    peaks = []
+    for factor in (0.8, 2.1, 5.0):
+        params = GaborParams(**grid, mod_order=round(factor * math.pi / (grid["p0"] * grid["grid_step"])))
+        signal = gabor_probe_signals(params, count=1, seed=3)[0]
+        assert len(signal) == 6145 and signal.dtype == np.complex128
+        tracemalloc.start()
+        try:
+            report = tightness_check(signal, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.aliasing_warning == (factor > 1.0)
+        peaks.append(peak)
+    assert max(peaks) <= 1.05 * min(peaks)
