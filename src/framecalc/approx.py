@@ -27,7 +27,7 @@ import numpy as np
 
 from .contract import Scheme, _check_count, _format_float
 from .frames import Frame, _checked_bounds, _checked_frame_bounds, _probes, frame_spectrum
-from .linalg import _svd_error, operator_norm, spectral_function, symmetrize
+from .linalg import _svd_error, spectral_function
 
 __all__ = [
     "BinomialBounds",
@@ -58,15 +58,22 @@ class BinomialBounds(NamedTuple):
 
 
 class ConvergenceRow(NamedTuple):
+    """One order's measured error, analytical bound and rounding floor."""
+
     order: int
     measured_error: float
     analytical_bound: float
     floor: float
 
+    @property
+    def passed(self) -> bool:
+        """The row holds when its error is within its bound plus its floor."""
+        return self.measured_error <= self.analytical_bound + self.floor
+
 
 class ConvergenceReport(NamedTuple):
     """Measured worst reconstruction error versus analytical bound, per order.
-    A row is violated when its error exceeds its bound plus its rounding floor.
+    ``violations`` lists the rows that have not ``passed``.
 
     ``samples`` and ``seed`` record how the probe vectors were drawn so runs
     are reproducible.
@@ -80,7 +87,7 @@ class ConvergenceReport(NamedTuple):
     seed: int
 
     def violations(self) -> list[ConvergenceRow]:
-        return [row for row in self.rows if not row.measured_error <= row.analytical_bound + row.floor]
+        return [row for row in self.rows if not row.passed]
 
     @property
     def passed(self) -> bool:
@@ -344,7 +351,7 @@ def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, o
     acc, scale = _partial_sum(frame, scheme, lower, upper, np.eye(frame.dim), order)
     power = _RULES[scheme].power
     exact = spectral_function(frame_spectrum(frame), lambda lam: lam**power / scale)
-    return operator_norm(symmetrize(exact - acc))
+    return float(np.linalg.norm(exact - acc, 2))
 
 
 def run_convergence(

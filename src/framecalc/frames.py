@@ -15,12 +15,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .contract import NotAFrameError, _check_count, frame_from_dict, frame_to_json, load_frame
-from .linalg import SVD, EigenDecomposition, _svd_error, eigh, spectral_function, svd, symmetrize
+from .linalg import SVD, EigenDecomposition, _svd_error, spectral_function, svd, symmetrize
 
 __all__ = [
     "BoundCheckReport",
@@ -324,31 +324,26 @@ def proposition1_check(
     )
 
 
-def commuting_scale(frame: Frame, scale_op) -> Frame:
-    """Rescale the frame by the square root of a commuting positive operator.
+def commuting_scale(frame: Frame, scale: Callable[[float], float]) -> Frame:
+    """Rescale the frame by T^(1/2) for the positive operator T = scale(S).
 
-    ``scale_op`` must be (dim, dim), exactly symmetric, positive definite
-    (its smallest eigenvalue above ``eigh``'s rounding floor
-    dim * eps * lambda_max), and commute with the frame operator (Frobenius
-    norm of the commutator within 1e-9 of ||scale_op|| * ||S||). The new
-    family {scale_op^(1/2) phi_i} need not be a frame; when it is, it shares
-    its Parseval-tight family with the original frame.
+    A function of the frame operator S commutes with it by construction, and
+    its root is sqrt(scale) on S's own spectrum, so nothing but the frame is
+    factored. ``scale`` must be finite and positive on every eigenvalue of S;
+    otherwise a ``ValueError`` naming the eigenvalue is raised. The new family
+    {T^(1/2) phi_i} need not be a frame; when it is, it shares its
+    Parseval-tight family with the original frame.
     """
-    scale = np.asarray(scale_op, dtype=float)
-    if scale.shape != (frame.dim, frame.dim):
-        raise ValueError(f"scaling operator shape {scale.shape} != frame operator {(frame.dim,) * 2}")
-    decomp = eigh(scale)
-    lam_min = float(decomp.eigenvalues[0])
-    lam_max = float(decomp.eigenvalues[-1])
-    if not lam_min > frame.dim * sys.float_info.epsilon * lam_max:
-        raise ValueError("scaling operator must be positive definite")
-    operator = frame_operator(frame)
-    commutator = scale @ operator - operator @ scale
-    limit = 1e-9 * lam_max * optimal_bounds(frame)[1]
-    if float(np.linalg.norm(commutator)) > limit:
-        raise ValueError("scaling operator must commute with the frame operator")
-    root = spectral_function(decomp, math.sqrt)
-    return Frame(frame.dim, frame.vectors @ root)
+
+    def root(lam: float) -> float:
+        value = float(scale(lam))
+        if value == math.inf:
+            raise ValueError("T = scale(S) has a spectrum that overflows float64")
+        if not value > 0.0:
+            raise ValueError(f"T = scale(S) must be positive definite, got scale = {value!r}")
+        return math.sqrt(value)
+
+    return Frame(frame.dim, frame.vectors @ spectral_function(frame_spectrum(frame), root))
 
 
 def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:

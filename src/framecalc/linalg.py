@@ -1,14 +1,13 @@
 """Dense real linear algebra and spectral function calculus.
 
-Factorizations come from LAPACK through numpy: ``eigh`` for an exactly
-symmetric operator and ``svd`` for a frame's synthesis matrix, whose right
-singular vectors and squared singular values are the eigenpairs of the frame
-operator ``V.T @ V``. Factoring ``V`` instead of forming ``V.T @ V`` keeps
-the error of every spectral quantity near ``kappa(V) * eps`` rather than
-``kappa(V)**2 * eps``. Both return eigenvalues in ascending order with
-sign-normalized, read-only eigenvectors, so results are deterministic for a
-given numpy/BLAS build, and ``spectral_function`` turns either decomposition
-into an operator.
+The one factorization comes from LAPACK through numpy: ``svd`` of a frame's
+synthesis matrix, whose right singular vectors and squared singular values
+are the eigenpairs of the frame operator ``V.T @ V``. Factoring ``V`` instead
+of forming ``V.T @ V`` keeps the error of every spectral quantity near
+``kappa(V) * eps`` rather than ``kappa(V)**2 * eps``. Eigenvalues come in
+ascending order with sign-normalized, read-only eigenvectors, so results are
+deterministic for a given numpy/BLAS build, and ``spectral_function`` turns
+the decomposition into an operator.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import numpy as np
 __all__ = [
     "EigenDecomposition",
     "SVD",
-    "eigh",
-    "operator_norm",
     "spectral_function",
     "svd",
     "symmetrize",
@@ -66,24 +63,17 @@ class SVD(NamedTuple):
 
 
 def symmetrize(matrix) -> np.ndarray:
-    """Average a square matrix with its transpose.
+    """Average a finite square matrix with its transpose.
 
     Entries (i, j) and (j, i) of the result come from the same floating-point
-    expression, so the output is exactly symmetric; every operator accepted by
-    the routines below must be built this way (or be symmetric by literal
-    construction).
+    expression, so the output is exactly symmetric.
     """
-    a = _square_finite(matrix)
-    return (a + a.T) / 2.0
-
-
-def _square_finite(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return a
+    return (a + a.T) / 2.0
 
 
 def _lead_signs(vectors: np.ndarray) -> np.ndarray:
@@ -101,21 +91,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _svd(left: np.ndarray, singular_values: np.ndarray, right: np.ndarray) -> SVD:
     spectrum = EigenDecomposition(_read_only(singular_values**2), _read_only(right))
     return SVD(_read_only(left), _read_only(singular_values), spectrum)
-
-
-def eigh(matrix) -> EigenDecomposition:
-    """Eigendecomposition of an exactly symmetric real matrix whose spectrum
-    is representable in float64."""
-    a = _square_finite(matrix)
-    if a.shape[0] < 1:
-        raise ValueError("operator dimension must be at least 1")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric; build it with symmetrize()")
-    eigenvalues, vectors = np.linalg.eigh(a)
-    # LAPACK scales the matrix, so an eigenvalue past the largest float is inf, silently.
-    if not np.all(np.isfinite(eigenvalues)):
-        raise ValueError("the spectrum overflows float64: an eigenvalue exceeds the largest float")
-    return EigenDecomposition(_read_only(eigenvalues), _read_only(vectors * _lead_signs(vectors)))
 
 
 def svd(matrix) -> SVD:
@@ -155,8 +130,3 @@ def spectral_function(decomp: EigenDecomposition, func: Callable[[float], float]
             raise ValueError(f"spectral function undefined at eigenvalue {lam!r}: {exc}") from exc
         values[k] = value
     return symmetrize((decomp.eigenvectors * values) @ decomp.eigenvectors.T)
-
-
-def operator_norm(matrix) -> float:
-    """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    return float(np.max(np.abs(eigh(matrix).eigenvalues)))

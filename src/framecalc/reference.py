@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .approx import (_floor, binomial_bounds, binomial_remainder_norm, log_exact_inverse,
-                     log_remainder_norm, zn_bound)
+from .approx import (ConvergenceRow, _floor, binomial_bounds, binomial_remainder_norm,
+                     log_exact_inverse, log_remainder_norm, zn_bound)
 from .contract import Scheme, _check_count
 from .frames import (Frame, alpha_frame, commuting_scale, frame_operator, frame_spectrum,
                      proposition1_check)
@@ -195,12 +195,10 @@ def builtin_checks() -> list[CheckResult]:
         ("2d-log-truncation-norm", Scheme.LOGARITHMIC, log_remainder_norm,
          lambda n: zn_bound(lower, upper, n)),
     ):
-        rows = [
-            (norm(frame2, lower, upper, n), bound(n), _floor(scheme, lower, upper, n, frame2, 0))
-            for n in range(11)
-        ]
-        worst = max(measured / limit for measured, limit, _ in rows)
-        ok = all(measured <= limit + floor for measured, limit, floor in rows)
+        floors = [_floor(scheme, lower, upper, n, frame2, 0) for n in range(11)]
+        rows = [ConvergenceRow(n, norm(frame2, lower, upper, n), bound(n), floors[n]) for n in range(11)]
+        worst = max(row.measured_error / row.analytical_bound for row in rows)
+        ok = all(row.passed for row in rows)
         results.append(CheckResult(name, ok, f"worst norm/bound {worst:.3e} over N = 0..10"))
 
     frame3 = demo_frame_3d()
@@ -220,7 +218,7 @@ def builtin_checks() -> list[CheckResult]:
     record("3d-parseval-identity", parseval.worst_violation, parseval.tolerance)
 
     # T = S gives the power family at 1/2; the tight family alone matches any commuting T.
-    scaled3 = commuting_scale(frame3, frame_operator(frame3))
+    scaled3 = commuting_scale(frame3, lambda lam: lam)
     half_dev = _max_deviation(scaled3.vectors, expected_power_family(3, 0.5))
     tight_dev = _max_deviation(alpha_frame(scaled3, -0.5).vectors, tight3)
     record("3d-commuting-rescale", max(half_dev, tight_dev), 1e-9)

@@ -16,7 +16,16 @@ from conftest import random_frame
 import framecalc
 import framecalc.cli as cli
 import framecalc.reference as reference
-from framecalc import Frame, demo_frame_2d, demo_frame_3d, frame_to_json, load_frame, optimal_bounds
+from framecalc import (
+    Frame,
+    demo_frame_2d,
+    demo_frame_3d,
+    frame_spectrum,
+    frame_to_json,
+    load_frame,
+    optimal_bounds,
+    spectral_function,
+)
 from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
 from framecalc.reference import expected_power_family
 
@@ -295,7 +304,9 @@ OPERATOR_CLAIM_MUTANTS = {
     # T instead of T^(1/2): the tight family alone would not tell them apart.
     "3d-commuting-rescale": (
         "commuting_scale",
-        lambda real: lambda frame, op: Frame(frame.dim, frame.vectors @ op),
+        lambda real: lambda frame, scale: Frame(
+            frame.dim, frame.vectors @ spectral_function(frame_spectrum(frame), scale)
+        ),
     ),
     # A warning on the rescaled window alone: the claim must read the report's verdict.
     "window-parseval-rescale": (

@@ -412,6 +412,13 @@ FULL_GRID_CASES = [
     # p0 3 ulps below P = 25: 25*p0*grid_step rounds below 2*pi, so lag 25 is
     # kept, with sin(theta*25/2) a few ulps above zero.
     (GaborParams(p0=2 * math.pi / 6.25 - 3 * math.ulp(2 * math.pi / 6.25), q0=4.0, grid_step=0.25, mod_order=75), "complex", 1.0, True),
+    # A Gaussian carried at order M, on grids where M*theta rounds to pi
+    # exactly (order 13 is the last within Nyquist) and one ulp above it
+    # (order 65 alone aliases). floor(pi/theta) + 1, the first estimate of the
+    # first aliased order, is wrong about M on each grid and is fixed up;
+    # with p0 = 1 the full grid's |m|*p0*grid_step is fl(m*theta) as well.
+    (GaborParams(p0=1.0, q0=4.0, grid_step=float.fromhex("0x1.eeebf2ca2ada8p-3"), mod_order=13), "carrier", 1.0, True),
+    (GaborParams(p0=1.0, q0=4.0, grid_step=float.fromhex("0x1.8beff56e88aedp-5"), mod_order=65), "carrier", 1.0, True),
 ]
 
 
@@ -420,6 +427,8 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     grid = sample_grid(params)
     if probe == "window":
         signal = window_g(grid, params) + 0.1 * np.exp(-(grid**2))
+    elif probe == "carrier":
+        signal = np.exp(-((grid / 6.0) ** 2)) * np.exp(1j * params.mod_order * grid)
     else:
         signals = gabor_probe_signals(params, count=5, seed=17)
         signal = signals[-1] if probe == "complex" else signals[0]

@@ -51,3 +51,31 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     assert [name for name in framecalc.__all__ if name not in used] == []
+
+
+NUMPY_FACTORIZATIONS = {"cholesky", "eig", "eigh", "eigvalsh", "inv", "lstsq", "qr", "solve", "svd"}
+
+
+def _factorization_calls(node, function):
+    """(enclosing function, name) of each numpy.linalg factorization under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Attribute) and node.attr in NUMPY_FACTORIZATIONS:
+        if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            yield function, node.attr
+    if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+        yield from ((function, alias.name) for alias in node.names if alias.name in NUMPY_FACTORIZATIONS)
+    for child in ast.iter_child_nodes(node):
+        yield from _factorization_calls(child, function)
+
+
+def test_the_one_factorization_is_svd_in_linalg_svd():
+    # Every spectral quantity reads a frame's one SVD, so no layer factors
+    # anything else through numpy.linalg; its norm is not a factorization.
+    root = Path(__file__).resolve().parent.parent / "src" / "framecalc"
+    calls = [
+        (path.stem, *call)
+        for path in sorted(root.glob("*.py"))
+        for call in _factorization_calls(ast.parse(path.read_text(encoding="utf-8")), None)
+    ]
+    assert calls == [("linalg", "svd", "svd")]
