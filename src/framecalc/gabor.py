@@ -52,7 +52,7 @@ class GaborParams:
     width is 2*pi/p0 - q0, exactly the overlap of adjacent translates.
 
     Grid defaults: grid_step = q0/64, grid_halfwidth = 12*q0. mod_order is
-    the modulation truncation M (indices -M..M); S is derived (``shift_order``).
+    the modulation truncation M (indices -M..M).
     """
 
     p0: float
@@ -81,13 +81,6 @@ class GaborParams:
         if not (0.0 < self.grid_step < math.inf and 0.0 < self.grid_halfwidth < math.inf):
             raise ValueError("grid_step and grid_halfwidth must be finite and positive")
         _check_count("mod_order", self.mod_order)
-
-    @property
-    def shift_order(self) -> int:
-        """Translation truncation S (indices -S..S): every translate whose
-        support |x - n*q0| < pi/p0 meets the grid, so the largest n with
-        n*q0 - pi/p0 < X for the grid's last sample X."""
-        return math.ceil((_half_count(self) * self.grid_step + math.pi / self.p0) / self.q0) - 1
 
     @property
     def transition_width(self) -> float:
@@ -178,26 +171,31 @@ def window_g(x, params: GaborParams):
 def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> TightnessReport:
     """Compare the truncated coefficient energy with the tight-frame constant.
 
-    ratio = sum_{|m|<=M, |n|<=S} |<g_mn, f>|^2 / ||f||^2 with trapezoidal
-    inner products, whose noise on smooth, well supported signals sits far
-    below ``TIGHTNESS_RTOL``; target = 2*pi/(p0*q0). ``window_gain`` rescales
-    the window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
+    ratio = sum_{|m|<=M} sum_n |<g_mn, f>|^2 / ||f||^2 with trapezoidal inner
+    products, whose noise on smooth, well supported signals sits far below
+    ``TIGHTNESS_RTOL``; target = 2*pi/(p0*q0). The sum over n is exact: it
+    takes the translates whose support |x - n*q0| < pi/p0 meets the signal's
+    nonzero samples, x_lo - pi/p0 < n*q0 < x_hi + pi/p0 for the first and last
+    of them (all that meet the grid when both grid ends are nonzero); any other
+    translate's coefficients are zero. ``window_gain`` rescales the window
+    (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
     ``ValueError`` is raised unless the gain and its target are finite and
-    positive floats, and for a signal with a NaN or infinite sample. The window
-    is scaled by the gain's mantissa and the ratio by its exact power of two,
-    so relative_error does not depend on the gain's exponent.
+    positive floats, and for a signal that is zero or has a NaN or infinite
+    sample. The window is scaled by the gain's mantissa and the ratio by its
+    exact power of two, so relative_error does not depend on the gain's
+    exponent.
 
     Each inner product runs over L grid samples, ceil(2*pi/(p0*grid_step)) + 3
     rounded up to even, that cover its translate's support with at least one
     to spare each side. The window is evaluated on L points once per distinct
     sub-sample offset of the translates: once when q0 is a multiple of
     grid_step, twice at a half-integer ratio. Each segment is a slice of the
-    signal padded with zeros (so zero where it hangs past a grid edge),
-    multiplied by its window row; a real signal stays real. The padded copy is
-    the signal scaled by the power of two of its peak, an exact factor that the
-    ratio cancels, and every energy is taken on it: none over- or underflows,
-    and scaling the signal by 2^k changes no bit of the report while its peak
-    and samples stay normal floats.
+    signal's nonzero extent, copied as complex for every signal and padded
+    with zeros (so zero where it hangs past the extent), multiplied by its
+    window row. That copy is scaled by the power of two of the signal's peak,
+    an exact factor that the ratio cancels, and every energy is taken on it:
+    none over- or underflows, and scaling the signal by 2^k changes no bit of
+    the report while its peak and samples stay normal floats.
 
     With theta = p0*grid_step, c_mn is the segment's Fourier sum at m*theta,
     so the energy of any run of orders is the lag sums R(d) = sum over j and
@@ -206,15 +204,14 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     sin(theta d/2) for all orders |m| <= M, and 2 cos(M theta d) for the
     outermost ring. Two samples d apart lie under the open support only when
     d*theta < 2*pi, so only the lags below that cut enter, fewer than L. R
-    comes from one transform per translate, zero-padded to nfft, the power of
-    two that is at least L and exceeds twice the cut (256 for p0 = 1 and
-    grid_step = 1/16), complex for a complex signal and real for a real one,
-    and one inverse transform of their summed power spectra. So the check
-    takes 2S+1 transforms of length nfft, which depends neither on M nor on
-    the grid's half width, and O(L) sines and cosines. The transforms run in
-    blocks of translates whose spectra hold at most 4096 values (64 KB), so
-    apart from the padded copy of the signal the check's memory does not
-    grow with M, S or the grid.
+    comes from one complex transform per translate, zero-padded to nfft, the
+    power of two that is at least L and exceeds twice the cut (256 for
+    p0 = 1 and grid_step = 1/16), and one inverse transform of their summed
+    power spectra. Past one scan of the G grid samples for nonzero ones, the
+    cost is set by the extent of E samples: fewer than (E - 1)*grid_step/q0 +
+    2*pi/(p0*q0) + 1 transforms of length nfft, in blocks whose spectra hold
+    at most 4096 values (64 KB), a padded copy of E + 2L values and O(L)
+    sines and cosines; none of it grows with M or the grid's half width.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
@@ -239,11 +236,16 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     edge = math.pi / params.p0
     length = (math.ceil(2.0 * edge / step) + 4) // 2 * 2
 
-    # The signal, padded by L zeros each side; a real signal stays real.
-    is_complex = np.iscomplexobj(values)
-    padded = np.zeros(len(values) + 2 * length, complex if is_complex else float)
+    # The signal's nonzero extent [lo, hi), NaN and inf included, padded by L
+    # zeros each side; the mask is dropped, so only the scan grows with G.
+    nonzero = values != 0
+    lo, hi = int(nonzero.argmax()), len(values) - int(nonzero[::-1].argmax())
+    if not nonzero[lo]:
+        raise ValueError("signal must have positive energy")
+    del nonzero
+    padded = np.zeros(hi - lo + 2 * length, complex)
     scaled = padded[length:-length]
-    scaled[:] = values
+    scaled[:] = values[lo:hi]
     flat = scaled.view(float)
     # max and min both return NaN when any part is NaN.
     peak = float(max(flat.max(), -flat.min()))
@@ -253,22 +255,21 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # Sums of squares without the grid step: the signal's energy carries one
     # factor of it, each squared coefficient two.
     norm_sq = float(np.vdot(scaled, scaled).real)
-    if norm_sq <= 0.0:
-        raise ValueError("signal must have positive energy")
 
-    # Grid index k (x = k*step, |k| <= half) of the first of the L samples
-    # that the support (-edge, edge) of translate n can reach, with a sample or
-    # more to spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step,
+    # The translates that meet the extent, and the grid index k (x = k*step)
+    # of the first of the L samples that translate n can reach, with a sample
+    # or more to spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step,
     # so translates with the same sub-sample offset share one window row.
-    shifts = np.arange(-params.shift_order, params.shift_order + 1)
+    x_lo, x_hi = (lo - half) * step, (hi - 1 - half) * step
+    shifts = np.arange(math.floor((x_lo - edge) / params.q0) + 1, math.ceil((x_hi + edge) / params.q0))
     starts = np.floor((shifts * params.q0 - edge) / step) - 1
     offsets = {}
     row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
     window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
-    # Segments are rows of a sliding view of the padded signal. Each
-    # translate's support meets the grid, so each starts within the padding.
-    first = (starts + (half + length)).astype(np.intp)
-    windows = np.ndarray((len(values) + length + 1, length), padded.dtype, padded, 0, (padded.itemsize,) * 2)
+    # Segments are rows of a sliding view of the padded extent. Each
+    # translate's support meets the extent, so each starts within the padding.
+    first = (starts + (half - lo + length)).astype(np.intp)
+    windows = np.ndarray((len(padded) - length + 1, length), complex, padded, 0, (padded.itemsize,) * 2)
 
     # Two samples d apart lie under the open support only for d*theta < 2*pi,
     # so the lag sums R(d) vanish from the cut on; below it every
@@ -283,15 +284,13 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # spectrum values (64 KB). One block of all 2S+1 (400 KB for 49
     # translates at nfft = 512) is large enough that the C allocator hands it
     # back to the system after a call and the next call faults it in again.
-    transform, bins = (np.fft.fft, nfft) if is_complex else (np.fft.rfft, nfft // 2 + 1)
-    block = max(1, 4096 // bins)
+    block = max(1, 4096 // nfft)
     power = 0.0
-    for lo in range(0, len(first), block):
-        rows = slice(lo, lo + block)
-        spectra = transform(windows[first[rows]] * window[row[rows]], nfft).view(float)
+    for begin in range(0, len(first), block):
+        rows = slice(begin, begin + block)
+        spectra = np.fft.fft(windows[first[rows]] * window[row[rows]], nfft).view(float)
         power += np.square(spectra, out=spectra).sum(axis=0)
-    power = power[0::2] + power[1::2]
-    lag_sums = np.fft.ifft(power).real if is_complex else np.fft.irfft(power, nfft)
+    lag_sums = np.fft.ifft(power[0::2] + power[1::2]).real
     zero, lags, half_phi = float(lag_sums[0]), lag_sums[1 : cut + 1], 0.5 * phi[:cut]
     weighted = lags / np.sin(half_phi)
 

@@ -73,7 +73,8 @@ def test_params_validation():
     assert params.grid_step == params.q0 / 64.0
     assert params.grid_halfwidth == 12.0 * params.q0
     assert params.transition_width == pytest.approx(2.0 * math.pi - 4.0)
-    assert params.shift_order >= 12
+    # translate 12 meets the default grid
+    assert 12 * params.q0 - math.pi / params.p0 < sample_grid(params)[-1]
 
 
 @pytest.mark.parametrize(
@@ -88,14 +89,28 @@ def test_params_validation():
         (GaborParams(p0=1.0, q0=2.0 * math.pi - 1e-3, grid_halfwidth=1e-3), 0),
     ],
 )
-def test_shift_order_takes_every_translate_that_meets_the_grid(params, order):
+def test_a_full_support_signal_transforms_every_translate_that_meets_the_grid(monkeypatch, params, order):
     # Translate n's support is |x - n*q0| < pi/p0: translate S reaches the
-    # grid's last sample, translate S + 1 starts at or past it.
+    # grid's last sample, translate S + 1 starts at or past it and is left out.
     edge = math.pi / params.p0
     last = sample_grid(params)[-1]
-    assert params.shift_order == order >= 0
-    assert params.shift_order * params.q0 - edge < last
-    assert (params.shift_order + 1) * params.q0 - edge >= last
+    assert order * params.q0 - edge < last <= (order + 1) * params.q0 - edge
+    rows = _transformed_rows(monkeypatch, np.ones(len(sample_grid(params))), params)
+    assert rows == 2 * order + 1 == 2 * math.ceil((last + edge) / params.q0) - 1
+
+
+def _transformed_rows(monkeypatch, signal, params):
+    """The rows, one per translate, that ``tightness_check`` hands to np.fft.fft."""
+    fft, rows = np.fft.fft, []
+
+    def counting(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return fft(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "fft", counting)
+        tightness_check(signal, params)
+    return sum(rows)
 
 
 def test_window_support_is_exact():
@@ -252,6 +267,12 @@ def test_tightness_refuses_non_finite_signals():
         broken[middle] = bad
         with pytest.raises(ValueError, match="signal must be finite"):
             tightness_check(broken, params)
+    # A NaN is a nonzero sample, so a signal that is NaN at its last sample
+    # and zero elsewhere has that sample as its extent.
+    lone = np.zeros_like(real)
+    lone[-1] = math.nan
+    with pytest.raises(ValueError, match="signal must be finite"):
+        tightness_check(lone, params)
 
 
 @pytest.mark.parametrize("gain", [0.0, 1e-200, 1e200, math.inf, math.nan, -1.0])
@@ -349,8 +370,9 @@ def test_probes_match_the_bump_by_bump_loop(params, count):
 def _full_grid_tightness(signal, params, gain=1.0):
     """The full-grid form of the check: one (2M+1) x G product per translate.
 
-    It runs over two translates more each side than ``shift_order``, and the
-    window of each of those is exactly zero on the grid.
+    It runs over every translate whose support meets the grid, whatever the
+    signal's extent, and two more each side, whose window is exactly zero on
+    the grid.
     """
     grid = sample_grid(params)
     values = np.asarray(signal, dtype=complex)
@@ -358,10 +380,11 @@ def _full_grid_tightness(signal, params, gain=1.0):
     phases = np.exp(-1j * params.p0 * np.outer(orders, grid))
     past_nyquist = np.abs(orders) * params.p0 * params.grid_step > math.pi
     total = tail = aliased = 0.0
-    reach = params.shift_order + 2
+    edge = math.pi / params.p0
+    reach = math.ceil((grid[-1] + edge) / params.q0) + 1
     for n in range(-reach, reach + 1):
         window = gain * window_g(grid - n * params.q0, params)
-        assert abs(n) <= params.shift_order or not window.any()
+        assert abs(n) * params.q0 - edge < grid[-1] or not window.any()
         energies = np.abs(params.grid_step * (phases @ (window * values))) ** 2
         total += energies.sum()
         tail += energies[0] + energies[-1]
@@ -419,6 +442,12 @@ FULL_GRID_CASES = [
     # with p0 = 1 the full grid's |m|*p0*grid_step is fl(m*theta) as well.
     (GaborParams(p0=1.0, q0=4.0, grid_step=float.fromhex("0x1.eeebf2ca2ada8p-3"), mod_order=13), "carrier", 1.0, True),
     (GaborParams(p0=1.0, q0=4.0, grid_step=float.fromhex("0x1.8beff56e88aedp-5"), mod_order=65), "carrier", 1.0, True),
+    # Signals nonzero at one sample: the first, the last (where translate
+    # S + 1's support starts) and one off the middle, on the q0/grid_step =
+    # 20*pi grid. The extent is one sample wide.
+    (demo_gabor_params(), "first", 1.0, True),
+    (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0, mod_order=30), "last", 1.0, True),
+    (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), mod_order=40), "interior", 0.37, True),
 ]
 
 
@@ -429,6 +458,9 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
         signal = window_g(grid, params) + 0.1 * np.exp(-(grid**2))
     elif probe == "carrier":
         signal = np.exp(-((grid / 6.0) ** 2)) * np.exp(1j * params.mod_order * grid)
+    elif probe in ("first", "last", "interior"):
+        signal = np.zeros_like(grid)
+        signal[{"first": 0, "last": -1, "interior": len(grid) // 3}[probe]] = 1.5
     else:
         signals = gabor_probe_signals(params, count=5, seed=17)
         signal = signals[-1] if probe == "complex" else signals[0]
@@ -474,9 +506,7 @@ def test_real_signal_as_real_or_complex_gives_the_same_report():
         signal = gabor_probe_signals(params, count=5, seed=17)[0].real
         real = tightness_check(signal, params)
         complex_ = tightness_check(signal.astype(np.complex128), params)
-        assert abs(real.ratio - complex_.ratio) <= 1e-15 * real.ratio
-        assert real.truncation_warning == complex_.truncation_warning
-        assert real.aliasing_warning == complex_.aliasing_warning
+        assert real == complex_
 
 
 @pytest.mark.parametrize("steps", [64.0, 63.5, 20 * math.pi])
@@ -484,8 +514,13 @@ def test_window_is_evaluated_once_per_sub_sample_offset(monkeypatch, steps):
     # Translate n samples the window at (offset_n + j)*grid_step, j < L, with
     # offset_n = start_n - n*q0/grid_step: one offset when q0 is a multiple of
     # the step, two at a half-integer ratio, one per translate otherwise.
+    # The probe is nonzero on the whole grid, so every translate -S..S that
+    # meets the grid is taken; the window only meets translates -1, 0 and 1.
     params = GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / steps)
-    signal = window_g(sample_grid(params), params)
+    grid = sample_grid(params)
+    probe = gabor_probe_signals(params, count=1, seed=3)[0]
+    assert probe[0] != 0.0 and probe[-1] != 0.0
+    order = math.ceil((grid[-1] + math.pi / params.p0) / params.q0) - 1
     samples = []
 
     def counting(x, p):
@@ -493,27 +528,35 @@ def test_window_is_evaluated_once_per_sub_sample_offset(monkeypatch, steps):
         return window_g(x, p)
 
     monkeypatch.setattr(framecalc.gabor, "window_g", counting)
-    report = tightness_check(signal, params)
     length = _support_length(params)
-    rows = {64.0: 1, 63.5: 2}.get(steps, 2 * params.shift_order + 1)
-    assert sum(samples) == rows * length
-    assert report.passed
-
-
-def test_tightness_memory_stays_on_the_window_support():
-    # G = 12289 samples, 195 translates, 129 orders: a full-grid phase matrix
-    # alone would take 25 MB.
-    params = GaborParams(p0=1.0, q0=4.0, grid_halfwidth=96 * 4.0)
-    signal = window_g(sample_grid(params), params)
-    assert len(signal) == 12289
-    tracemalloc.start()
-    try:
+    for signal, translates in ((probe, 2 * order + 1), (window_g(grid, params), 3)):
+        samples.clear()
         report = tightness_check(signal, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
-    assert report.relative_error <= 0.01 and not report.truncation_warning
+        rows = {64.0: 1, 63.5: 2}.get(steps, translates)
+        assert sum(samples) == rows * length
+        assert report.passed
+
+
+def test_tightness_memory_stays_on_the_window_support(monkeypatch):
+    # The demo window is nonzero on |x| < pi/p0 only, where translates -1, 0
+    # and 1 meet it: the check transforms those 3 on a grid of 1537 samples,
+    # which 25 translates meet, and on one of 12289, which 193 meet, and
+    # copies no more of either.
+    peaks = []
+    for halfwidth in (12, 96):
+        params = GaborParams(p0=1.0, q0=4.0, grid_halfwidth=halfwidth * 4.0)
+        signal = window_g(sample_grid(params), params)
+        assert len(signal) == 128 * halfwidth + 1
+        assert _transformed_rows(monkeypatch, signal, params) == 3
+        tracemalloc.start()
+        try:
+            report = tightness_check(signal, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        peaks.append(peak)
+    assert max(peaks) <= 1.05 * min(peaks)
 
 
 def test_tightness_memory_does_not_grow_with_the_order():
