@@ -168,17 +168,20 @@ def window_g(x, params: GaborParams):
     return float(out) if arr.ndim == 0 else out
 
 
+def _extent(mask: np.ndarray, width: int) -> tuple[int, int]:
+    """The first and one past the last sample with a set entry of ``mask``,
+    ``width`` entries per sample; the first is -1 when none is set."""
+    marks = mask.tobytes()
+    return marks.find(1) // width, marks.rfind(1) // width + 1
+
+
 def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> TightnessReport:
     """Compare the truncated coefficient energy with the tight-frame constant.
 
     ratio = sum_{|m|<=M} sum_n |<g_mn, f>|^2 / ||f||^2 with trapezoidal inner
     products, whose noise on smooth, well supported signals sits far below
-    ``TIGHTNESS_RTOL``; target = 2*pi/(p0*q0). The sum over n is exact: it
-    takes the translates whose support |x - n*q0| < pi/p0 meets the signal's
-    nonzero samples, x_lo - pi/p0 < n*q0 < x_hi + pi/p0 for the first and last
-    of them (all that meet the grid when both grid ends are nonzero); any other
-    translate's coefficients are zero. ``window_gain`` rescales the window
-    (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
+    ``TIGHTNESS_RTOL``; target = 2*pi/(p0*q0). ``window_gain`` rescales the
+    window (gain sqrt(p0*q0/(2*pi)) yields the Parseval-normalized family).
     ``ValueError`` is raised unless the gain and its target are finite and
     positive floats, and for a signal that is zero or has a NaN or infinite
     sample. The window is scaled by the gain's mantissa and the ratio by its
@@ -193,9 +196,28 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     signal's nonzero extent, copied as complex for every signal and padded
     with zeros (so zero where it hangs past the extent), multiplied by its
     window row. That copy is scaled by the power of two of the signal's peak,
-    an exact factor that the ratio cancels, and every energy is taken on it:
-    none over- or underflows, and scaling the signal by 2^k changes no bit of
-    the report while its peak and samples stay normal floats.
+    an exact factor that the ratio cancels, and every energy and the level
+    tau below are taken on it: none over- or underflows, and scaling the
+    signal by 2^k changes no bit of the report while its peak and samples
+    stay normal floats.
+
+    The sum over n takes the translates that the signal's energy reaches.
+    Every nonzero coefficient lies on the S translates whose support
+    |x - n*q0| < pi/p0 meets the signal's nonzero samples, x_lo - pi/p0 <
+    n*q0 < x_hi + pi/p0 for the first and last of them (all that meet the
+    grid when both grid ends are nonzero). Energies here leave out the grid
+    step, each coefficient being the plain sum over its segment, so a passing
+    signal's coefficients carry E = target*sum_k |f_k|^2/grid_step. A
+    translate under which both parts of every sample lie below a level tau
+    has at most 2*(2M + 1)*(w_max*L*tau)^2 of it in its 2M + 1 coefficients,
+    w_max = mantissa/sqrt(q0) being the window's peak, and tau sets that
+    bound to u*E/S with u = 2^-53. The sum first takes the K translates that
+    meet the samples with a part at or above tau; the S - K left out carry at
+    most (S - K)/S*u*E, which is at most u*total exactly when (S - K)*target
+    <= S*ratio. Then the report is within u of the sum over all S, and each
+    warning's energy moves by at most u/TAIL_FRACTION, about 1e-10, of its
+    threshold. Otherwise the sum is taken again over all S; that needs
+    ratio/target < (S - K)/S, a check that fails by far.
 
     With theta = p0*grid_step, c_mn is the segment's Fourier sum at m*theta,
     so the energy of any run of orders is the lag sums R(d) = sum over j and
@@ -206,12 +228,17 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     d*theta < 2*pi, so only the lags below that cut enter, fewer than L. R
     comes from one complex transform per translate, zero-padded to nfft, the
     power of two that is at least L and exceeds twice the cut (256 for
-    p0 = 1 and grid_step = 1/16), and one inverse transform of their summed
-    power spectra. Past one scan of the G grid samples for nonzero ones, the
-    cost is set by the extent of E samples: fewer than (E - 1)*grid_step/q0 +
-    2*pi/(p0*q0) + 1 transforms of length nfft, in blocks whose spectra hold
-    at most 4096 values (64 KB), a padded copy of E + 2L values and O(L)
-    sines and cosines; none of it grows with M or the grid's half width.
+    p0 = 1 and grid_step = 1/16), and one real transform of their summed
+    power spectra. Past one scan of the G grid samples for nonzero ones (of
+    the 2G float parts of a contiguous complex signal) and one of the E
+    samples of the nonzero extent against tau, the cost is set by the K
+    translates taken: K transforms of length nfft (K + S when the sum is
+    taken again, S < (E - 1)*grid_step/q0 + 2*pi/(p0*q0) + 1), in blocks
+    whose spectra hold at most 4096 values (64 KB), a padded copy of E + 2L
+    values and O(L) sines and cosines; none of it grows with M or the grid's
+    half width. A pair of Gaussian bumps of width about q0 is nonzero on the
+    whole grid, yet reaches only 10 to 22 of the 49 translates that meet a
+    grid of 24*q0 each side of zero.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
@@ -237,12 +264,12 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     length = (math.ceil(2.0 * edge / step) + 4) // 2 * 2
 
     # The signal's nonzero extent [lo, hi), NaN and inf included, padded by L
-    # zeros each side; the mask is dropped, so only the scan grows with G.
-    nonzero = values != 0
-    lo, hi = int(nonzero.argmax()), len(values) - int(nonzero[::-1].argmax())
-    if not nonzero[lo]:
+    # zeros each side; a contiguous complex signal is scanned as its float
+    # parts, two per sample. The mask is dropped, so only the scan grows with G.
+    parts = values.view(float) if values.dtype == complex and values.flags.c_contiguous else values
+    lo, hi = _extent(parts != 0, len(parts) // len(values))
+    if lo < 0:
         raise ValueError("signal must have positive energy")
-    del nonzero
     padded = np.zeros(hi - lo + 2 * length, complex)
     scaled = padded[length:-length]
     scaled[:] = values[lo:hi]
@@ -256,27 +283,39 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # factor of it, each squared coefficient two.
     norm_sq = float(np.vdot(scaled, scaled).real)
 
-    # The translates that meet the extent, and the grid index k (x = k*step)
-    # of the first of the L samples that translate n can reach, with a sample
-    # or more to spare each side. Sample j sits at x - n*q0 = (offset_n + j)*step,
-    # so translates with the same sub-sample offset share one window row.
-    x_lo, x_hi = (lo - half) * step, (hi - 1 - half) * step
-    shifts = np.arange(math.floor((x_lo - edge) / params.q0) + 1, math.ceil((x_hi + edge) / params.q0))
-    starts = np.floor((shifts * params.q0 - edge) / step) - 1
-    offsets = {}
-    row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
-    window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
-    # Segments are rows of a sliding view of the padded extent. Each
-    # translate's support meets the extent, so each starts within the padding.
-    first = (starts + (half - lo + length)).astype(np.intp)
-    windows = np.ndarray((len(padded) - length + 1, length), complex, padded, 0, (padded.itemsize,) * 2)
+    # The range of the translates n that meet grid samples k_lo..k_hi-1,
+    # x_lo - pi/p0 < n*q0 < x_hi + pi/p0 (x = (k - half)*step): S of them for
+    # the nonzero extent.
+    def meeting(k_lo, k_hi):
+        low, high = (k_lo - half) * step - edge, (k_hi - 1 - half) * step + edge
+        return math.floor(low / params.q0) + 1, math.ceil(high / params.q0)
+
+    reach = meeting(lo, hi)
+    met = reach[1] - reach[0]
+    order = params.mod_order
+    scaled_target = params.tight_constant * mantissa**2
+    # The level tau of the docstring, 2*(2M + 1)*(w_max*L*tau)^2 = u*E/S with
+    # u = 2^-53 and E = target*norm_sq/step; 1/step is folded into
+    # sqrt(step/q0) with w_max's 1/sqrt(q0), so nothing overflows. As L >=
+    # 2*pi/(p0*step), tau^2 < u*G/4: the peak part, at least 1/2, passes it.
+    tau = math.sqrt(2.0**-54 * scaled_target * norm_sq / (met * (2 * order + 1)))
+    tau /= mantissa * length * math.sqrt(step / params.q0)
+    loud = _extent(np.abs(flat) >= tau, 2)
 
     # Two samples d apart lie under the open support only for d*theta < 2*pi,
     # so the lag sums R(d) vanish from the cut on; below it every
-    # sin(theta*d/2) is positive.
+    # sin(theta*d/2) is positive. The cut counts the lags d < L with
+    # fl(d*theta) < 2*pi: an estimate, fixed up as alias is below.
     theta = params.p0 * step
-    phi = np.arange(1, length) * theta
-    cut = int(np.searchsorted(phi, 2.0 * math.pi))
+    cut = min(length - 1, math.ceil(2.0 * math.pi / theta) - 1)
+    while cut > 0 and cut * theta >= 2.0 * math.pi:
+        cut -= 1
+    while cut < length - 1 and (cut + 1) * theta < 2.0 * math.pi:
+        cut += 1
+    # fl(d*theta/2) is fl(d*theta)/2: halving is exact.
+    half_phi = np.arange(1, cut + 1) * (0.5 * theta)
+    sines = np.sin(half_phi)
+    dirichlet = np.sin((2 * order + 1) * half_phi)
     # Zero-padded past the segment and past twice the cut, the circular
     # autocorrelation of each segment is its linear one on lags 0..cut.
     nfft = 1 << max(length - 1, 2 * cut).bit_length()
@@ -285,20 +324,41 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # translates at nfft = 512) is large enough that the C allocator hands it
     # back to the system after a call and the next call faults it in again.
     block = max(1, 4096 // nfft)
-    power = 0.0
-    for begin in range(0, len(first), block):
-        rows = slice(begin, begin + block)
-        spectra = np.fft.fft(windows[first[rows]] * window[row[rows]], nfft).view(float)
-        power += np.square(spectra, out=spectra).sum(axis=0)
-    lag_sums = np.fft.ifft(power[0::2] + power[1::2]).real
-    zero, lags, half_phi = float(lag_sums[0]), lag_sums[1 : cut + 1], 0.5 * phi[:cut]
-    weighted = lags / np.sin(half_phi)
+    # Segments are rows of a sliding view of the padded extent. Each
+    # translate's support meets the extent, so each starts within the padding.
+    windows = np.ndarray((len(padded) - length + 1, length), complex, padded, 0, (padded.itemsize,) * 2)
+    # First the translates that meet the loud samples, then, unless the left
+    # out ones are shown to carry at most u*total, all S.
+    for first_shift, stop_shift in (meeting(lo + loud[0], lo + loud[1]), reach):
+        # The grid index k (x = k*step) of the first of the L samples that
+        # translate n can reach, with a sample or more to spare each side.
+        # Sample j sits at x - n*q0 = (offset_n + j)*step, so translates with
+        # the same sub-sample offset share one window row.
+        shifts = np.arange(first_shift, stop_shift)
+        starts = np.floor((shifts * params.q0 - edge) / step) - 1
+        offsets = {}
+        row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
+        window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
+        first = (starts + (half - lo + length)).astype(np.intp)
+        power = 0.0
+        for begin in range(0, len(first), block):
+            rows = slice(begin, begin + block)
+            spectra = np.fft.fft(windows[first[rows]] * window[row[rows]], nfft).view(float)
+            power += np.square(spectra, out=spectra).sum(axis=0)
+        # nfft*R(d); each energy below divides by nfft, an exact power of two.
+        lag_sums = np.fft.rfft(power[0::2] + power[1::2]).real
+        zero, lags = float(lag_sums[0]), lag_sums[1 : cut + 1]
+        weighted = lags / sines
+        # Every order |m| <= M: R against the Dirichlet kernel.
+        total = ((2 * order + 1) * zero + 2.0 * float(weighted @ dirichlet)) / nfft
+        ratio = step * total / norm_sq
+        # The S - K translates left out carry at most (S - K)/S * u*E, which
+        # is at most u*total when (S - K)*target <= S*ratio.
+        if (met - len(shifts)) * scaled_target <= met * ratio:
+            break
 
-    order = params.mod_order
-    # Every order |m| <= M: R against the Dirichlet kernel.
-    total = (2 * order + 1) * zero + 2.0 * float(weighted @ np.sin((2 * order + 1) * half_phi))
     # The outermost modulation ring, both edges (order 0 twice when M = 0).
-    tail = 2.0 * zero + 4.0 * float(lags @ np.cos(2 * order * half_phi))
+    tail = (2.0 * zero + 4.0 * float(lags @ np.cos(2 * order * half_phi))) / nfft
     # Both signs of the orders alias..M past Nyquist, alias the first order
     # with fl(alias*theta) > pi; order 0 never is.
     alias = min(order + 1, math.floor(math.pi / theta) + 1)
@@ -310,10 +370,8 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     aliased = 0.0
     if count:
         rings = np.sin(count * half_phi) * np.cos((order + alias) * half_phi)
-        aliased = 2.0 * count * zero + 4.0 * float(weighted @ rings)
+        aliased = (2.0 * count * zero + 4.0 * float(weighted @ rings)) / nfft
 
-    ratio = step * total / norm_sq
-    scaled_target = params.tight_constant * mantissa**2
     return TightnessReport(
         ratio=math.ldexp(ratio, 2 * exponent),
         target=target,

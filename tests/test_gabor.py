@@ -477,6 +477,59 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
         assert aliasing
 
 
+def test_a_smooth_probe_transforms_only_the_translates_its_energy_reaches(monkeypatch):
+    # gabor-window's largest grid, G = 6145: the modulated Gaussian probe is
+    # nonzero on the whole grid, which 49 translates meet, but its parts pass
+    # the level tau under fewer than 20 of them.
+    params = GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / 128, grid_halfwidth=24 * 4.0, mod_order=80)
+    signal = gabor_probe_signals(params, count=2, seed=7)[1]
+    assert len(signal) == 6145 and np.all(signal != 0)
+    assert _transformed_rows(monkeypatch, signal, params) <= 20
+    report = tightness_check(signal, params)
+    ratio, warning, aliasing = _full_grid_tightness(signal, params)
+    assert abs(report.ratio - ratio) <= 1e-12 * ratio
+    assert report.passed and not warning and not aliasing
+
+
+@pytest.mark.parametrize("level, rows", [(0.9, 3), (1.1, 12)])
+def test_a_sample_is_left_out_below_the_level_tau_and_taken_above_it(monkeypatch, level, rows):
+    # The demo window at x = -20 meets translates -6..-4, and one more sample
+    # at x = 20 stretches the nonzero extent to the S = 12 translates -6..5.
+    # tau = sqrt(u*E/(2*S*(2M + 1)))/(w_max*L) with u = 2^-53, E =
+    # target*sum|f|^2/grid_step and w_max = 1/sqrt(q0): that sample is left
+    # out at 0.9*tau and, with the translates between, taken at 1.1*tau.
+    params = demo_gabor_params()
+    grid = sample_grid(params)
+    signal = window_g(grid + 20.0, params)
+    energy = params.tight_constant * np.vdot(signal, signal) / params.grid_step
+    order, length = params.mod_order, _support_length(params)
+    tau = math.sqrt(2.0**-53 * energy / (2 * 12 * (2 * order + 1))) * math.sqrt(params.q0) / length
+    signal[np.searchsorted(grid, 20.0)] = level * tau
+    assert _transformed_rows(monkeypatch, signal, params) == rows
+    assert tightness_check(signal, params).passed
+
+
+def test_a_check_that_fails_by_far_transforms_every_translate_again(monkeypatch):
+    # A loud window at x = -5*q0, its energy mostly on a carrier between M and
+    # the grid's Nyquist order and 1% in band, so ratio is about 1e-2*target;
+    # and a faint copy at x = 5*q0, far below tau. The first pass takes the 3
+    # translates that meet the loud samples and leaves out 10 of the S = 13
+    # that meet the nonzero extent: 10/13 exceeds ratio/target, so the left
+    # out translates are not shown to be negligible and all 13 run again.
+    params = GaborParams(p0=1.0, q0=4.0, grid_step=1 / 16, grid_halfwidth=48.0, mod_order=20)
+    grid = sample_grid(params)
+    loud = window_g(grid + 20.0, params) * (np.exp(35j * grid) + 0.1)
+    signal = loud + 1e-20 * window_g(grid - 20.0, params)
+    assert _transformed_rows(monkeypatch, loud, params) == 3
+    assert _transformed_rows(monkeypatch, signal, params) == 3 + 13
+    report = tightness_check(signal, params)
+    assert 0.005 < report.ratio / report.target < 0.02
+    ratio, warning, aliasing = _full_grid_tightness(signal, params)
+    assert abs(report.ratio - ratio) <= 1e-12 * ratio
+    assert report.truncation_warning == warning
+    assert report.aliasing_warning == aliasing
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -514,12 +567,13 @@ def test_window_is_evaluated_once_per_sub_sample_offset(monkeypatch, steps):
     # Translate n samples the window at (offset_n + j)*grid_step, j < L, with
     # offset_n = start_n - n*q0/grid_step: one offset when q0 is a multiple of
     # the step, two at a half-integer ratio, one per translate otherwise.
-    # The probe is nonzero on the whole grid, so every translate -S..S that
-    # meets the grid is taken; the window only meets translates -1, 0 and 1.
+    # The probe's parts pass the level tau under every translate -S..S that
+    # meets the grid, so each is taken: it falls to exp(-14), about 1e-6, at
+    # the grid's ends, too little to raise a warning there. The window only
+    # meets translates -1, 0 and 1.
     params = GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / steps)
     grid = sample_grid(params)
-    probe = gabor_probe_signals(params, count=1, seed=3)[0]
-    assert probe[0] != 0.0 and probe[-1] != 0.0
+    probe = np.exp(-14.0 * (grid / grid[-1]) ** 2 + 0.2j * grid)
     order = math.ceil((grid[-1] + math.pi / params.p0) / params.q0) - 1
     samples = []
 
