@@ -16,6 +16,7 @@ the signal checks, the warnings and the cost of the tightness check are in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,6 +81,10 @@ class GaborParams:
             object.__setattr__(self, "grid_halfwidth", 12.0 * self.q0)
         if not (0.0 < self.grid_step < math.inf and 0.0 < self.grid_halfwidth < math.inf):
             raise ValueError("grid_step and grid_halfwidth must be finite and positive")
+        # sample_grid's float64 samples need a byte count that a Py_ssize_t holds.
+        if not self.grid_halfwidth / self.grid_step < sys.maxsize / 16:
+            grid = f"grid_halfwidth = {self.grid_halfwidth} over grid_step = {self.grid_step}"
+            raise ValueError(f"{grid} gives more samples than a numpy array can hold")
         _check_count("mod_order", self.mod_order)
 
     @property
@@ -211,13 +216,16 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     translate under which both parts of every sample lie below a level tau
     has at most 2*(2M + 1)*(w_max*L*tau)^2 of it in its 2M + 1 coefficients,
     w_max = mantissa/sqrt(q0) being the window's peak, and tau sets that
-    bound to u*E/S with u = 2^-53. The sum first takes the K translates that
-    meet the samples with a part at or above tau; the S - K left out carry at
-    most (S - K)/S*u*E, which is at most u*total exactly when (S - K)*target
-    <= S*ratio. Then the report is within u of the sum over all S, and each
-    warning's energy moves by at most u/TAIL_FRACTION, about 1e-10, of its
-    threshold. Otherwise the sum is taken again over all S; that needs
-    ratio/target < (S - K)/S, a check that fails by far.
+    bound to u*E/S with u = 2^-53. The sum takes the K translates that meet
+    the samples with a part at or above tau, once; the S - K left out move
+    the ratio by at most (S - K)/S*u*target. The closed form below adds terms
+    as large as (2M + 1)*R(0), which does not fall with the total, so its
+    rounding is absolute as well: |ratio - exact| <= C*u*max(ratio, target),
+    exact being the sum over all S and C = 64 a measured constant (README,
+    Numerical notes). A ratio far below its target thus has fewer correct
+    digits than the 17 that ``framecalc gabor`` prints, and a warning can
+    flip only when its energy over ||f||^2 lies within that bound of
+    TAIL_FRACTION*ratio.
 
     With theta = p0*grid_step, c_mn is the segment's Fourier sum at m*theta,
     so the energy of any run of orders is the lag sums R(d) = sum over j and
@@ -232,13 +240,12 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     power spectra. Past one scan of the G grid samples for nonzero ones (of
     the 2G float parts of a contiguous complex signal) and one of the E
     samples of the nonzero extent against tau, the cost is set by the K
-    translates taken: K transforms of length nfft (K + S when the sum is
-    taken again, S < (E - 1)*grid_step/q0 + 2*pi/(p0*q0) + 1), in blocks
-    whose spectra hold at most 4096 values (64 KB), a padded copy of E + 2L
-    values and O(L) sines and cosines; none of it grows with M or the grid's
-    half width. A pair of Gaussian bumps of width about q0 is nonzero on the
-    whole grid, yet reaches only 10 to 22 of the 49 translates that meet a
-    grid of 24*q0 each side of zero.
+    translates taken: K transforms of length nfft, K <= S < (E - 1)*grid_step/q0
+    + 2*pi/(p0*q0) + 1, in blocks whose spectra hold at most 4096 values
+    (64 KB), a padded copy of E + 2L values and O(L) sines and cosines; none
+    of it grows with M or the grid's half width. A pair of Gaussian bumps of
+    width about q0 is nonzero on the whole grid, yet reaches only 10 to 22 of
+    the 49 translates that meet a grid of 24*q0 each side of zero.
 
     Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
     on the grid their phases equal those of an order within it, so their
@@ -290,8 +297,7 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
         low, high = (k_lo - half) * step - edge, (k_hi - 1 - half) * step + edge
         return math.floor(low / params.q0) + 1, math.ceil(high / params.q0)
 
-    reach = meeting(lo, hi)
-    met = reach[1] - reach[0]
+    met = len(range(*meeting(lo, hi)))
     order = params.mod_order
     scaled_target = params.tight_constant * mantissa**2
     # The level tau of the docstring, 2*(2M + 1)*(w_max*L*tau)^2 = u*E/S with
@@ -327,35 +333,28 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     # Segments are rows of a sliding view of the padded extent. Each
     # translate's support meets the extent, so each starts within the padding.
     windows = np.ndarray((len(padded) - length + 1, length), complex, padded, 0, (padded.itemsize,) * 2)
-    # First the translates that meet the loud samples, then, unless the left
-    # out ones are shown to carry at most u*total, all S.
-    for first_shift, stop_shift in (meeting(lo + loud[0], lo + loud[1]), reach):
-        # The grid index k (x = k*step) of the first of the L samples that
-        # translate n can reach, with a sample or more to spare each side.
-        # Sample j sits at x - n*q0 = (offset_n + j)*step, so translates with
-        # the same sub-sample offset share one window row.
-        shifts = np.arange(first_shift, stop_shift)
-        starts = np.floor((shifts * params.q0 - edge) / step) - 1
-        offsets = {}
-        row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
-        window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
-        first = (starts + (half - lo + length)).astype(np.intp)
-        power = 0.0
-        for begin in range(0, len(first), block):
-            rows = slice(begin, begin + block)
-            spectra = np.fft.fft(windows[first[rows]] * window[row[rows]], nfft).view(float)
-            power += np.square(spectra, out=spectra).sum(axis=0)
-        # nfft*R(d); each energy below divides by nfft, an exact power of two.
-        lag_sums = np.fft.rfft(power[0::2] + power[1::2]).real
-        zero, lags = float(lag_sums[0]), lag_sums[1 : cut + 1]
-        weighted = lags / sines
-        # Every order |m| <= M: R against the Dirichlet kernel.
-        total = ((2 * order + 1) * zero + 2.0 * float(weighted @ dirichlet)) / nfft
-        ratio = step * total / norm_sq
-        # The S - K translates left out carry at most (S - K)/S * u*E, which
-        # is at most u*total when (S - K)*target <= S*ratio.
-        if (met - len(shifts)) * scaled_target <= met * ratio:
-            break
+    # The grid index k (x = k*step) of the first of the L samples that
+    # translate n can reach, with a sample or more to spare each side. Sample
+    # j sits at x - n*q0 = (offset_n + j)*step, so translates with the same
+    # sub-sample offset share one window row.
+    shifts = np.arange(*meeting(lo + loud[0], lo + loud[1]))
+    starts = np.floor((shifts * params.q0 - edge) / step) - 1
+    offsets = {}
+    row = [offsets.setdefault(x, len(offsets)) for x in (starts - shifts * (params.q0 / step)).tolist()]
+    window = mantissa * window_g((np.array(list(offsets))[:, None] + np.arange(length)) * step, params)
+    first = (starts + (half - lo + length)).astype(np.intp)
+    power = 0.0
+    for begin in range(0, len(first), block):
+        rows = slice(begin, begin + block)
+        spectra = np.fft.fft(windows[first[rows]] * window[row[rows]], nfft).view(float)
+        power += np.square(spectra, out=spectra).sum(axis=0)
+    # nfft*R(d); each energy below divides by nfft, an exact power of two.
+    lag_sums = np.fft.rfft(power[0::2] + power[1::2]).real
+    zero, lags = float(lag_sums[0]), lag_sums[1 : cut + 1]
+    weighted = lags / sines
+    # Every order |m| <= M: R against the Dirichlet kernel.
+    total = ((2 * order + 1) * zero + 2.0 * float(weighted @ dirichlet)) / nfft
+    ratio = step * total / norm_sq
 
     # The outermost modulation ring, both edges (order 0 twice when M = 0).
     tail = (2.0 * zero + 4.0 * float(lags @ np.cos(2 * order * half_phi))) / nfft

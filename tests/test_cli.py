@@ -722,6 +722,20 @@ def test_gabor_non_finite_grid_exits_two(flag, value, capsys):
     assert "finite and positive" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        # 48/5e-324 is infinite, and 1e300/0.0625 samples are no count either.
+        ("--grid-step", "5e-324", "grid_halfwidth = 48.0 over grid_step = 5e-324"),
+        ("--halfwidth", "1e300", "grid_halfwidth = 1e+300 over grid_step = 0.0625"),
+    ],
+)
+def test_gabor_grid_past_any_sample_count_exits_two(flag, value, message, capsys):
+    code, out, err = run_cli(capsys, ["gabor", flag, value])
+    assert code == 2 and out == ""
+    assert err == f"error: {message} gives more samples than a numpy array can hold\n"
+
+
 def test_usage_errors_exit_two(frame_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["unknown-command"])
