@@ -203,8 +203,8 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     window row. That copy is scaled by the power of two of the signal's peak,
     an exact factor that the ratio cancels, and every energy and the level
     tau below are taken on it: none over- or underflows, and scaling the
-    signal by 2^k changes no bit of the report while its peak and samples
-    stay normal floats.
+    signal by 2^k changes no bit of the report as long as its peak and
+    samples stay normal floats.
 
     The sum over n takes the translates that the signal's energy reaches.
     Every nonzero coefficient lies on the S translates whose support
@@ -227,13 +227,13 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     flip only when its energy over ||f||^2 lies within that bound of
     TAIL_FRACTION*ratio.
 
-    With theta = p0*grid_step, c_mn is the segment's Fourier sum at m*theta,
-    so the energy of any run of orders is the lag sums R(d) = sum over j and
-    the translates of Re(seg[j + d] conj(seg[j])) against a closed-form
-    kernel in theta*d: the Dirichlet kernel sin((M + 1/2) theta d) /
-    sin(theta d/2) for all orders |m| <= M, and 2 cos(M theta d) for the
+    With theta = fl(p0*grid_step), c_mn is the segment's Fourier sum at
+    m*theta, so the energy of any run of orders is the lag sums R(d) = sum
+    over j and the translates of Re(seg[j + d] conj(seg[j])) against a
+    closed-form kernel in theta*d: the Dirichlet kernel sin((M + 1/2) theta
+    d) / sin(theta d/2) for all orders |m| <= M, and 2 cos(M theta d) for the
     outermost ring. Two samples d apart lie under the open support only when
-    d*theta < 2*pi, so only the lags below that cut enter, fewer than L. R
+    d*theta < 2*pi, so lag d < L enters iff fl(d*theta) < 2*pi. R
     comes from one complex transform per translate, zero-padded to nfft, the
     power of two that is at least L and exceeds twice the cut (256 for
     p0 = 1 and grid_step = 1/16), and one real transform of their summed
@@ -247,9 +247,9 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     width about q0 is nonzero on the whole grid, yet reaches only 10 to 22 of
     the 49 translates that meet a grid of 24*q0 each side of zero.
 
-    Orders with |m|*p0*grid_step > pi lie past the grid's Nyquist frequency:
-    on the grid their phases equal those of an order within it, so their
-    energy is counted again and the ratio overshoots the target. The aliasing
+    Order m lies past the grid's Nyquist frequency iff fl(|m|*theta) > pi:
+    on the grid its phases equal those of an order within it, so its energy
+    is counted again and the ratio overshoots the target. The aliasing
     warning is set when those orders carry more than ``TAIL_FRACTION`` of the
     coefficient energy, which signals too high a truncation order for the
     grid; the truncation warning when the outermost modulation ring does,
@@ -308,18 +308,19 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     tau /= mantissa * length * math.sqrt(step / params.q0)
     loud = _extent(np.abs(flat) >= tau, 2)
 
+    # The rounded phases fl(d*theta) of the lags d = 1..L-1, nondecreasing.
     # Two samples d apart lie under the open support only for d*theta < 2*pi,
     # so the lag sums R(d) vanish from the cut on; below it every
-    # sin(theta*d/2) is positive. The cut counts the lags d < L with
-    # fl(d*theta) < 2*pi: an estimate, fixed up as alias is below.
+    # sin(theta*d/2) is positive. Both signs of the orders alias..M lie past
+    # Nyquist, alias being the first order with fl(alias*theta) > pi (order 0
+    # never is); every order with fl(m*theta) <= pi has m <= pi/theta < L.
     theta = params.p0 * step
-    cut = min(length - 1, math.ceil(2.0 * math.pi / theta) - 1)
-    while cut > 0 and cut * theta >= 2.0 * math.pi:
-        cut -= 1
-    while cut < length - 1 and (cut + 1) * theta < 2.0 * math.pi:
-        cut += 1
-    # fl(d*theta/2) is fl(d*theta)/2: halving is exact.
-    half_phi = np.arange(1, cut + 1) * (0.5 * theta)
+    phases = np.arange(1, length) * theta
+    cut = int(phases.searchsorted(2.0 * math.pi))
+    alias = 1 + min(order, int(phases.searchsorted(math.pi, "right")))
+    # fl(d*theta)/2 is fl(d*theta/2): halving is exact.
+    half_phi = phases[:cut]
+    half_phi *= 0.5
     sines = np.sin(half_phi)
     dirichlet = np.sin((2 * order + 1) * half_phi)
     # Zero-padded past the segment and past twice the cut, the circular
@@ -358,13 +359,6 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
 
     # The outermost modulation ring, both edges (order 0 twice when M = 0).
     tail = (2.0 * zero + 4.0 * float(lags @ np.cos(2 * order * half_phi))) / nfft
-    # Both signs of the orders alias..M past Nyquist, alias the first order
-    # with fl(alias*theta) > pi; order 0 never is.
-    alias = min(order + 1, math.floor(math.pi / theta) + 1)
-    while alias > 1 and (alias - 1) * theta > math.pi:
-        alias -= 1
-    while alias <= order and alias * theta <= math.pi:
-        alias += 1
     count = order + 1 - alias
     aliased = 0.0
     if count:

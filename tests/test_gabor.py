@@ -383,7 +383,10 @@ def _full_grid_tightness(signal, params, gain=1.0):
     values = np.asarray(signal, dtype=complex)
     orders = np.arange(-params.mod_order, params.mod_order + 1)
     phases = np.exp(-1j * params.p0 * np.outer(orders, grid))
-    past_nyquist = np.abs(orders) * params.p0 * params.grid_step > math.pi
+    # The library's rounding: order m is past Nyquist iff fl(|m|*theta) > pi
+    # with theta = fl(p0*grid_step), not fl(fl(|m|*p0)*grid_step).
+    theta = params.p0 * params.grid_step
+    past_nyquist = np.abs(orders) * theta > math.pi
     total = tail = aliased = 0.0
     edge = math.pi / params.p0
     reach = math.ceil((grid[-1] + edge) / params.q0) + 1
@@ -442,14 +445,13 @@ FULL_GRID_CASES = [
     (GaborParams(p0=2 * math.pi / 6.25, q0=4.0, grid_step=0.25, mod_order=75), "window", 1.0, True),
     (GaborParams(p0=2 * math.pi / 6.0, q0=4.0, grid_step=0.25, mod_order=12), "real", 1.0, True),
     (GaborParams(p0=2 * math.pi / 6.0, q0=4.0, grid_step=0.25, mod_order=72), "complex", 1.0, True),
-    # p0 3 ulps below P = 25: 25*p0*grid_step rounds below 2*pi, so lag 25 is
+    # p0 3 ulps below P = 25: fl(25*theta) is below 2*pi, so lag 25 is
     # kept, with sin(theta*25/2) a few ulps above zero.
     (GaborParams(p0=2 * math.pi / 6.25 - 3 * math.ulp(2 * math.pi / 6.25), q0=4.0, grid_step=0.25, mod_order=75), "complex", 1.0, True),
     # A Gaussian carried at order M, on grids where M*theta rounds to pi
     # exactly (order 13 is the last within Nyquist) and one ulp above it
-    # (order 65 alone aliases). floor(pi/theta) + 1, the first estimate of the
-    # first aliased order, is wrong about M on each grid and is fixed up;
-    # with p0 = 1 the full grid's |m|*p0*grid_step is fl(m*theta) as well.
+    # (order 65 alone aliases); floor(pi/theta) + 1 is not the first aliased
+    # order on either grid.
     (GaborParams(p0=1.0, q0=4.0, grid_step=float.fromhex("0x1.eeebf2ca2ada8p-3"), mod_order=13), "carrier", 1.0, True),
     (GaborParams(p0=1.0, q0=4.0, grid_step=float.fromhex("0x1.8beff56e88aedp-5"), mod_order=65), "carrier", 1.0, True),
     # Signals nonzero at one sample: the first, the last (where translate
@@ -458,6 +460,10 @@ FULL_GRID_CASES = [
     (demo_gabor_params(), "first", 1.0, True),
     (GaborParams(p0=math.pi / 2, q0=3.0, grid_step=1 / 16, grid_halfwidth=37.0, mod_order=30), "last", 1.0, True),
     (GaborParams(p0=1.0, q0=4.0, grid_step=4.0 / (20 * math.pi), mod_order=40), "interior", 0.37, True),
+    # A Gaussian carried at order 79, where fl(79*theta) > pi but
+    # fl(fl(79*p0)*grid_step) <= pi: order 79 lies past Nyquist under the
+    # rounding theta = fl(p0*grid_step).
+    (GaborParams(p0=1.3, q0=3.5, grid_step=0.030589996626969748, mod_order=79), "carrier", 1.0, True),
 ]
 
 
@@ -467,7 +473,7 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     if probe == "window":
         signal = window_g(grid, params) + 0.1 * np.exp(-(grid**2))
     elif probe == "carrier":
-        signal = np.exp(-((grid / 6.0) ** 2)) * np.exp(1j * params.mod_order * grid)
+        signal = np.exp(-((grid / 6.0) ** 2)) * np.exp(1j * params.mod_order * params.p0 * grid)
     elif probe in ("first", "last", "interior"):
         signal = np.zeros_like(grid)
         signal[{"first": 0, "last": -1, "interior": len(grid) // 3}[probe]] = 1.5
@@ -486,6 +492,49 @@ def test_tightness_matches_full_grid_products(params, probe, gain, warns):
     assert report.aliasing_warning == aliasing
     if params.mod_order > 2.0 * math.pi / (params.p0 * params.grid_step):
         assert aliasing
+
+
+def test_a_lag_whose_rounded_phase_is_two_pi_is_left_out(monkeypatch):
+    # theta = fl(2*pi/61) with fl(61*theta) = fl(2*pi), yet fl(2*pi)/theta >
+    # 61: lag 61 lies on the cut, not below it, so the lags are 1..60 and the
+    # first table handed to np.sin, theta*d/2 for each, has 60 entries.
+    period = 61
+    params = GaborParams(p0=1.0, q0=4.0, grid_step=2.0 * math.pi / period, mod_order=20)
+    theta = params.p0 * params.grid_step
+    assert period * theta == 2.0 * math.pi and 2.0 * math.pi / theta > period
+    signal = window_g(sample_grid(params), params)
+    sin, tables = np.sin, []
+
+    def recording(x, *args, **kwargs):
+        tables.append(np.array(x))
+        return sin(x, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "sin", recording)
+        report = tightness_check(signal, params)
+    np.testing.assert_array_equal(tables[0], np.arange(1, period) * theta / 2.0)
+    ratio, warning, aliasing = _full_grid_tightness(signal, params)
+    assert abs(report.ratio - ratio) <= 1e-12 * ratio
+    assert (report.truncation_warning, report.aliasing_warning) == (warning, aliasing)
+
+
+def test_the_order_whose_rounded_phase_is_pi_lies_within_nyquist():
+    # theta = fl(2*pi/126) with fl(63*theta) = fl(pi), while pi/theta < 63:
+    # order 63 is the last within Nyquist. The probe carries energy at it,
+    # (-1)^k = exp(63i*theta*k), and M = 63 takes no order past it.
+    period = 126
+    params = GaborParams(p0=1.0, q0=4.0, grid_step=2.0 * math.pi / period, mod_order=period // 2)
+    theta = params.p0 * params.grid_step
+    assert period // 2 * theta == math.pi and math.pi / theta < period // 2
+    grid = sample_grid(params)
+    signal = window_g(grid, params) * (1.0 + 0.5 * (-1.0) ** np.arange(len(grid)))
+    report = tightness_check(signal, params)
+    assert not report.aliasing_warning
+    ratio, warning, aliasing = _full_grid_tightness(signal, params)
+    assert abs(report.ratio - ratio) <= 1e-12 * ratio
+    assert (report.truncation_warning, report.aliasing_warning) == (warning, aliasing)
+    # ... and M = 64 takes order 64, past it, which the probe reaches too.
+    assert tightness_check(signal, GaborParams(p0=1.0, q0=4.0, grid_step=params.grid_step, mod_order=64)).aliasing_warning
 
 
 def test_a_smooth_probe_transforms_only_the_translates_its_energy_reaches(monkeypatch):
