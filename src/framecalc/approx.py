@@ -27,7 +27,7 @@ import numpy as np
 
 from .contract import Scheme, _check_count, _format_float
 from .frames import Frame, _checked_bounds, _checked_frame_bounds, _probes, frame_spectrum
-from .linalg import _svd_error, spectral_function
+from .linalg import _svd_error, spectral_function, svd
 
 __all__ = [
     "BinomialBounds",
@@ -351,7 +351,7 @@ def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, o
     acc, scale = _partial_sum(frame, scheme, lower, upper, np.eye(frame.dim), order)
     power = _RULES[scheme].power
     exact = spectral_function(frame_spectrum(frame), lambda lam: lam**power / scale)
-    return float(np.linalg.norm(exact - acc, 2))
+    return float(svd(exact - acc).singular_values[-1])
 
 
 def run_convergence(

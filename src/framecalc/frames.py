@@ -351,10 +351,11 @@ def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
     eigenvector of the frame operator."""
     samples = _check_count("samples", samples)
     rng = np.random.default_rng(seed)
-    columns = []
-    while len(columns) < samples:
-        v = rng.standard_normal(frame.dim)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            columns.append(v / norm)
-    return np.column_stack(columns + [frame_spectrum(frame).eigenvectors])
+    rows = np.empty((0, frame.dim))
+    while len(rows) < samples:
+        # A block continues the stream of single draws; rejected rows are redrawn from it.
+        block = rng.standard_normal((samples - len(rows), frame.dim))
+        norms = np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0]
+        keep = norms[:, 0] > 1e-12
+        rows = np.vstack([rows, block[keep] / norms[keep]])
+    return np.column_stack([rows.T, frame_spectrum(frame).eigenvectors])

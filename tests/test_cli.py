@@ -134,8 +134,9 @@ def test_dual_matches_alpha_minus_one(frame_file, capsys):
 def test_alpha_file_round_trips(frame_file, tmp_path, capsys):
     # Dual of the dual through files reproduces the original vectors.
     first = tmp_path / "dual.json"
-    code, _, _ = run_cli(capsys, ["dual", frame_file, "--out", str(first)])
+    code, out, _ = run_cli(capsys, ["dual", frame_file])
     assert code == 0
+    first.write_text(out, encoding="utf-8")
     code, out, _ = run_cli(capsys, ["dual", str(first)])
     assert code == 0
     rebuilt = np.array(json.loads(out)["vectors"])
@@ -146,8 +147,9 @@ def test_alpha_file_round_trips(frame_file, tmp_path, capsys):
     # S^(2a+1), so the second application contributes S^(-a).
     a = -1.0 / 3.0
     second = tmp_path / "third.json"
-    code, _, _ = run_cli(capsys, ["alpha", frame_file, "--alpha", str(a), "--out", str(second)])
+    code, out, _ = run_cli(capsys, ["alpha", frame_file, "--alpha", str(a)])
     assert code == 0
+    second.write_text(out, encoding="utf-8")
     undo = -a / (2.0 * a + 1.0)
     code, out, _ = run_cli(capsys, ["alpha", str(second), "--alpha", str(undo)])
     assert code == 0
@@ -155,31 +157,14 @@ def test_alpha_file_round_trips(frame_file, tmp_path, capsys):
     assert np.max(np.abs(rebuilt - demo_frame_2d().vectors)) <= 1e-8
 
 
-def test_perturb_writes_reference_csv(frame_file, tmp_path, capsys):
-    out_path = tmp_path / "report.csv"
-    code, _, _ = run_cli(
-        capsys,
-        [
-            "perturb",
-            frame_file,
-            "--scheme",
-            "neumann",
-            "--N-max",
-            "8",
-            "--samples",
-            "16",
-            "--seed",
-            "3",
-            "--out",
-            str(out_path),
-        ],
-    )
+def test_perturb_writes_reference_csv(frame_file, capsys):
+    code, out, _ = run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann", "--N-max", "8", "--seed", "3"])
     assert code == 0
-    with out_path.open() as handle:
-        rows = list(csv.DictReader(handle))
+    rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 9
-    # The CSV carries no floor; the library's report of the same run does.
-    report = framecalc.run_convergence(load_frame(frame_file), Scheme.NEUMANN, 1.0, 2.0, 8, 16, 3)
+    # The CSV carries no floor; the library's report of the same run, on the
+    # CLI's 32 probes, does.
+    report = framecalc.run_convergence(load_frame(frame_file), Scheme.NEUMANN, 1.0, 2.0, 8, 32, 3)
     for n, (row, reported) in enumerate(zip(rows, report.rows)):
         # The fixture declares bounds (1, 2), and the table runs on them.
         assert (row["scheme"], row["A"], row["B"]) == ("Neumann", "1", "2")
@@ -751,8 +736,24 @@ def test_usage_errors_exit_two(frame_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["perturb", frame_file, "--scheme", "neumann", flag, "1"])
         assert excinfo.value.code == 2
+    # Every result goes to stdout, on 32 probes: no option names a file or a count.
+    for argv in (
+        ["alpha", frame_file, "--alpha", "-1", "--out", "x.json"],
+        ["dual", frame_file, "--out", "x.json"],
+        ["perturb", frame_file, "--scheme", "neumann", "--out", "x.csv"],
+        ["perturb", frame_file, "--scheme", "neumann", "--samples", "8"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["perturb", "--help"])
     assert excinfo.value.code == 0
     usage = capsys.readouterr().out
     assert "--N-max" in usage and "--A" not in usage and "--B" not in usage
+    assert "--out" not in usage and "--samples" not in usage
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["alpha", "--help"])
+    assert excinfo.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--alpha" in usage and "--out" not in usage and "--samples" not in usage

@@ -46,6 +46,7 @@ from framecalc import (
     synthesis,
 )
 from framecalc.contract import _check_count
+from framecalc.frames import _probes
 from framecalc.linalg import _svd_error
 from framecalc.reference import _basis_plus_diagonal, _power_operator, expected_power_family
 
@@ -540,6 +541,53 @@ def test_proposition1_refuses_samples_that_are_not_a_non_negative_integer(sample
     with pytest.raises(ValueError, match="samples must be a non-negative integer"):
         proposition1_check(frame, -0.5, samples=samples)
     assert proposition1_check(frame, -0.5, samples=np.int64(3)).samples == 5
+
+
+def _single_draw_probes(frame, draws, samples):
+    """Probe columns as a loop over single draws builds them: each draw is
+    normalized by its norm, and one of norm 1e-12 or less is skipped."""
+    columns = []
+    for v in draws:
+        if len(columns) == samples:
+            break
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-12:
+            columns.append(v / norm)
+    return np.column_stack(columns + [frame_spectrum(frame).eigenvectors])
+
+
+def test_probes_drawn_as_one_block_equal_single_draws_bit_for_bit(monkeypatch):
+    for dim in range(1, 65):
+        frame = Frame(dim, np.eye(dim))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            draws = (rng.standard_normal(dim) for _ in itertools.count())
+            expected = _single_draw_probes(frame, draws, 32)
+            assert np.array_equal(_probes(frame, 32, seed), expected), (dim, seed)
+
+    # A rejected draw is replaced from the continuing stream: a generator whose
+    # first block holds a zero row is asked for one more row, once.
+    real_rng = np.random.default_rng
+    shapes = []
+
+    class ZeroRowFirst:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, shape):
+            block = self.rng.standard_normal(shape)
+            if not shapes:
+                block[1] = 0.0
+            shapes.append(shape)
+            return block
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
+    frame = Frame(7, np.eye(7))
+    rng = real_rng(11)
+    draws = [rng.standard_normal(7) for _ in range(33)]
+    draws[1][:] = 0.0
+    assert np.array_equal(_probes(frame, 32, 11), _single_draw_probes(frame, draws, 32))
+    assert shapes == [(32, 7), (1, 7)]
 
 
 # Every count that an entry point takes, with the name its refusal gives.

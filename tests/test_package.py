@@ -54,15 +54,34 @@ def test_every_public_name_has_a_caller():
 
 
 NUMPY_FACTORIZATIONS = {"cholesky", "eig", "eigh", "eigvalsh", "inv", "lstsq", "qr", "solve", "svd"}
+# numpy.linalg.norm takes an SVD for these orders of a matrix.
+SINGULAR_VALUE_ORDS = (2, -2, "nuc")
+
+
+def _in_linalg(node):
+    """Whether ``node`` names an attribute of a ``linalg`` module."""
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+
+
+def _takes_singular_values(call):
+    """Whether a numpy.linalg.norm call's ``ord``, positional or keyword, is
+    one that factors; an ``ord`` that is not a literal may be, so it counts."""
+    ords = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "ord"]
+    try:
+        return any(ast.literal_eval(order) in SINGULAR_VALUE_ORDS for order in ords)
+    except ValueError:
+        return True
 
 
 def _factorization_calls(node, function):
-    """(enclosing function, name) of each numpy.linalg factorization under ``node``."""
+    """(enclosing function, name) of each numpy.linalg factorization under
+    ``node``, a norm of singular values included."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
-    if isinstance(node, ast.Attribute) and node.attr in NUMPY_FACTORIZATIONS:
-        if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
-            yield function, node.attr
+    if _in_linalg(node) and node.attr in NUMPY_FACTORIZATIONS:
+        yield function, node.attr
+    if isinstance(node, ast.Call) and _in_linalg(node.func) and node.func.attr == "norm" and _takes_singular_values(node):
+        yield function, "norm"
     if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
         yield from ((function, alias.name) for alias in node.names if alias.name in NUMPY_FACTORIZATIONS)
     for child in ast.iter_child_nodes(node):
@@ -70,8 +89,9 @@ def _factorization_calls(node, function):
 
 
 def test_the_one_factorization_is_svd_in_linalg_svd():
-    # Every spectral quantity reads a frame's one SVD, so no layer factors
-    # anything else through numpy.linalg; its norm is not a factorization.
+    # Every spectral quantity reads an SVD taken in linalg.svd, so no layer
+    # factors anything else through numpy.linalg: neither a factorization
+    # nor a norm of singular values (ord 2, -2 or "nuc").
     root = Path(__file__).resolve().parent.parent / "src" / "framecalc"
     calls = [
         (path.stem, *call)
