@@ -73,18 +73,12 @@ class ConvergenceRow(NamedTuple):
 
 class ConvergenceReport(NamedTuple):
     """Measured worst reconstruction error versus analytical bound, per order.
-    ``violations`` lists the rows that have not ``passed``.
-
-    ``samples`` and ``seed`` record how the probe vectors were drawn so runs
-    are reproducible.
-    """
+    ``violations`` lists the rows that have not ``passed``."""
 
     scheme: Scheme
     lower: float
     upper: float
     rows: tuple[ConvergenceRow, ...]
-    samples: int
-    seed: int
 
     def violations(self) -> list[ConvergenceRow]:
         return [row for row in self.rows if not row.passed]
@@ -394,14 +388,7 @@ def run_convergence(
         floor = _floor(scheme, lower, upper, order, frame, frame.count)
         rows.append(ConvergenceRow(order, float(np.max(errors)), rule.bound(lower, upper, order), floor))
 
-    return ConvergenceReport(
-        scheme=scheme,
-        lower=lower,
-        upper=upper,
-        rows=tuple(rows),
-        samples=samples,
-        seed=seed,
-    )
+    return ConvergenceReport(scheme=scheme, lower=lower, upper=upper, rows=tuple(rows))
 
 
 def write_csv(report: ConvergenceReport, stream) -> None:

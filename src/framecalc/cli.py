@@ -84,9 +84,7 @@ def _cmd_analyze(args) -> int:
         ("num_vectors", frame.count),
         ("lambda_min", report.lambda_min),
         ("lambda_max", report.lambda_max),
-        ("optimal_bounds", [report.lambda_min, report.lambda_max]),
         ("is_frame", report.is_frame),
-        ("kernel_trivial", report.kernel_trivial),
         ("inverse_norm", report.inverse_norm),
         ("eigenvalues", frame_spectrum(frame).eigenvalues.tolist()),
     ]

@@ -135,7 +135,6 @@ class BoundCheckReport(NamedTuple):
     """Result of an empirical frame-bound sweep for one power family, judged on
     the tolerance that ``proposition1_check`` derives."""
 
-    alpha: float
     lower: float
     upper: float
     samples: int
@@ -313,7 +312,6 @@ def proposition1_check(
     max_identity = float(np.max(np.abs(totals - quadratic)))
     slack = 4 * _svd_error(frame.count) + (7 * frame.dim + frame.count + abs(2 * alpha + 1) + 7) * 2.0**-53
     return BoundCheckReport(
-        alpha=float(alpha),
         lower=lower,
         upper=upper,
         samples=probes.shape[1],

@@ -59,12 +59,13 @@ def test_analyze_frame(frame_file, capsys):
     code, out, _ = run_cli(capsys, ["analyze", frame_file])
     assert code == 0
     report = json.loads(out)
+    keys = ["dim", "num_vectors", "lambda_min", "lambda_max", "is_frame", "inverse_norm", "eigenvalues"]
+    assert list(report) == keys
     assert report["dim"] == 2
     assert report["num_vectors"] == 3
     assert report["is_frame"] is True
     assert report["lambda_min"] == pytest.approx(1.0, abs=1e-12)
     assert report["lambda_max"] == pytest.approx(2.0, abs=1e-12)
-    assert report["optimal_bounds"] == pytest.approx([1.0, 2.0], abs=1e-12)
     assert report["eigenvalues"] == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
@@ -218,8 +219,6 @@ def test_perturb_bound_violation_exits_one(frame_file, capsys, monkeypatch):
             lower=1.0,
             upper=2.0,
             rows=(ConvergenceRow(0, 1.0, 0.5, 0.25), ConvergenceRow(1, 0.75, 0.5, 0.25)),
-            samples=1,
-            seed=0,
         )
 
     monkeypatch.setattr(framecalc.approx, "run_convergence", doctored)
@@ -382,6 +381,28 @@ def test_non_numeric_entries_exit_two(tmp_path, capsys):
     assert err == "error: every vector must be a list of 2 numbers\n"
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["dual"], ["perturb", "--scheme", "neumann"]], ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 2, "vectors": [[1.0, NaN], [0.0, 1.0]]}', "frame vectors must be finite"),
+        (
+            '{"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]], "bounds": [1.0, Infinity]}',
+            "bounds must satisfy 0 < A <= B, got (1.0, inf)",
+        ),
+    ],
+    ids=["nan-vector", "infinite-bound"],
+)
+def test_json_nan_and_infinity_literals_exit_two(text, message, argv, tmp_path, capsys):
+    # Python's json module reads the literals NaN and Infinity as floats.
+    path = tmp_path / "literal.json"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [argv[0], str(path)] + argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_perturb_logarithmic_at_large_scale(tmp_path, capsys):
     # S = 1e200 [[3, 1], [1, 3]]/2, so A*B overflows a float.
     path = tmp_path / "scaled.json"
@@ -457,7 +478,7 @@ def _unscaled(command, alpha, out, k):
             for scheme, a, b, *rest in rows[1:]
         ]
     if command == "analyze":
-        powers = dict.fromkeys(["lambda_min", "lambda_max", "optimal_bounds", "eigenvalues"], 2)
+        powers = dict.fromkeys(["lambda_min", "lambda_max", "eigenvalues"], 2)
         powers["inverse_norm"] = -2
     else:
         powers = {"vectors": 2 * alpha + 1, "bounds": 4 * alpha + 2}

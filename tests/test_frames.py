@@ -20,6 +20,7 @@ from framecalc import (
     alpha_frame,
     analysis,
     binomial_bounds,
+    binomial_remainder_norm,
     binomial_tight,
     commuting_scale,
     demo_frame_2d,
@@ -35,6 +36,8 @@ from framecalc import (
     load_frame,
     log_bound,
     log_dual,
+    log_exact_inverse,
+    log_remainder_norm,
     neumann_bound,
     neumann_dual,
     optimal_bounds,
@@ -84,7 +87,9 @@ def test_frame_validation():
         Frame(1, np.array([[1e160]]))
 
 
-def test_one_factorization_per_frame(monkeypatch):
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of the calls into numpy's ``svd`` and ``eigh`` from here on."""
     calls = {"svd": 0, "eigh": 0}
 
     def counting(name, original):
@@ -96,6 +101,11 @@ def test_one_factorization_per_frame(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_one_factorization_per_frame(factorizations):
+    calls = factorizations
     rng = np.random.default_rng(83)
     frame = random_frame(rng, 5, 11, 1.0, 2.5, declared=True)
     alpha_frame(frame, 0.5)
@@ -106,6 +116,40 @@ def test_one_factorization_per_frame(monkeypatch):
     for scheme in Scheme:
         assert run_convergence(frame, scheme, 1.0, 2.5, 5, 8, 2).passed
     assert calls == {"svd": 1, "eigh": 0}
+
+
+# The SVDs each public call makes on a fresh frame f with exact bounds (a, b): one
+# per frame on first spectral use, none for a family built from a factorization
+# (``alpha_frame``'s), and one more for each truncation norm. Every case is a
+# single call on f, or the named call on its result.
+SVDS_PER_CALL = {
+    "construct": (0, lambda f, a, b: None),
+    "diagnostics": (1, lambda f, a, b: diagnostics(f)),
+    "optimal_bounds": (1, lambda f, a, b: optimal_bounds(f)),
+    "alpha_frame": (1, lambda f, a, b: alpha_frame(f, 0.5)),
+    "dual_frame": (1, lambda f, a, b: dual_frame(f)),
+    "reconstruct": (1, lambda f, a, b: reconstruct(f, -0.25, np.ones(f.dim))),
+    "proposition1_check": (1, lambda f, a, b: proposition1_check(f, 0.5, samples=8)),
+    "run_convergence": (1, lambda f, a, b: run_convergence(f, Scheme.NEUMANN, a, b, 5, 8, 0)),
+    "neumann_dual": (1, lambda f, a, b: neumann_dual(f, a, b, 3)),
+    "log_dual": (1, lambda f, a, b: log_dual(f, a, b, 3)),
+    "log_exact_inverse": (1, lambda f, a, b: log_exact_inverse(f, a, b)),
+    "commuting_scale": (1, lambda f, a, b: commuting_scale(f, lambda lam: lam + 1.0)),
+    "diagnostics_of_alpha_frame": (1, lambda f, a, b: diagnostics(alpha_frame(f, 0.5))),
+    "diagnostics_of_commuting_scale": (2, lambda f, a, b: diagnostics(commuting_scale(f, lambda lam: lam + 1.0))),
+    "log_remainder_norm": (2, lambda f, a, b: log_remainder_norm(f, a, b, 3)),
+    "binomial_remainder_norm": (2, lambda f, a, b: binomial_remainder_norm(f, a, b, 3)),
+}
+
+
+@pytest.mark.parametrize("call", SVDS_PER_CALL)
+def test_factorizations_per_public_call_on_a_fresh_frame(call, factorizations):
+    expected, run = SVDS_PER_CALL[call]
+    vectors = np.random.default_rng(89).standard_normal((8, 4))
+    lower, upper = optimal_bounds(Frame(4, vectors))
+    factorizations["svd"] = 0
+    run(Frame(4, vectors), lower, upper)
+    assert factorizations == {"svd": expected, "eigh": 0}
 
 
 def test_frame_vectors_are_immutable():
@@ -624,7 +668,7 @@ def test_bound_check_report_passes_up_to_its_tolerance():
     tolerance = 3e-9
 
     def report(identity_residual):
-        return BoundCheckReport(-1.0, 0.5, 1.0, 10, 1e-12, 2e-12, identity_residual, tolerance)
+        return BoundCheckReport(0.5, 1.0, 10, 1e-12, 2e-12, identity_residual, tolerance)
 
     at_tolerance = report(tolerance)
     assert at_tolerance.worst_violation == tolerance and at_tolerance.passed

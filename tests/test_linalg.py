@@ -31,21 +31,21 @@ def test_svd_conventions_and_frame_operator_spectrum():
         assert not factors.left.flags.writeable and not right.flags.writeable
 
 
-def test_spectral_apply_inverse_2d():
+def test_spectral_function_inverse_2d():
     inverse = spectral_function(HALF_SPECTRUM, lambda lam: 1.0 / lam)
     expected = np.array([[3.0, -1.0], [-1.0, 3.0]]) / 4.0
     np.testing.assert_allclose(inverse, expected, atol=1e-12)
     np.testing.assert_allclose(inverse, np.linalg.inv(HALF_MATRIX), atol=1e-12)
 
 
-def test_spectral_apply_identity_function():
+def test_spectral_function_identity_function():
     rng = np.random.default_rng(11)
     s = symmetrize(rng.standard_normal((5, 5)))
     decomp = EigenDecomposition(*np.linalg.eigh(s))
     np.testing.assert_allclose(spectral_function(decomp, lambda lam: lam), s, atol=1e-12)
 
 
-def test_spectral_apply_inverse_sqrt_projectors():
+def test_spectral_function_inverse_sqrt_projectors():
     # E1 + E2/sqrt(2) with projectors onto (1, -1)/sqrt(2) and (1, 1)/sqrt(2).
     e1 = np.array([[0.5, -0.5], [-0.5, 0.5]])
     e2 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -54,7 +54,7 @@ def test_spectral_apply_inverse_sqrt_projectors():
     np.testing.assert_allclose(found, expected, atol=1e-12)
 
 
-def test_spectral_apply_domain_errors_name_eigenvalue():
+def test_spectral_function_domain_errors_name_eigenvalue():
     singular = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="undefined at eigenvalue 0.0"):
         spectral_function(EigenDecomposition(*np.linalg.eigh(singular)), lambda lam: 1.0 / lam)
