@@ -113,8 +113,8 @@ def _midpoint(lower: float, upper: float) -> float:
     return 0.5 * lower + 0.5 * upper
 
 
-def _neumann_generator(lower: float, upper: float) -> Callable[[float], float]:
-    """R = I - (2/(A+B)) S as a scalar function of S; ||R|| <= (B-A)/(B+A)."""
+def _neumann_generator(lower: float, upper: float) -> Callable[[np.ndarray], np.ndarray]:
+    """R = I - (2/(A+B)) S on the eigenvalues of S; ||R|| <= (B-A)/(B+A)."""
     scale = 1.0 / _midpoint(lower, upper)
     return lambda lam: 1.0 - scale * lam
 
@@ -174,12 +174,12 @@ def binomial_remainder_norm(frame: Frame, lower: float, upper: float, order: int
 # ---------------------------------------------------------------------------
 
 
-def _log_generator(lower: float, upper: float) -> Callable[[float], float]:
-    """The generator c R_log = ln(sqrt(A B)/S) as a scalar function of S, so that
+def _log_generator(lower: float, upper: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The generator c R_log = ln(sqrt(A B)/S) on the eigenvalues of S, so that
     S^(-1) = exp(c R_log)/sqrt(A B). The paper builds R_log with a base and a
     shift for bounds above, below or straddling one; each construction gives
     this operator. The logs are taken of A/lam and B/lam, so A B is never formed."""
-    return lambda lam: 0.5 * (math.log(lower / lam) + math.log(upper / lam))
+    return lambda lam: 0.5 * (np.log(lower / lam) + np.log(upper / lam))
 
 
 def _inverse_geometric_mean(lower: float, upper: float) -> float:
@@ -199,7 +199,7 @@ def log_exact_inverse(frame: Frame, lower: float, upper: float) -> np.ndarray:
     """
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     generator = _log_generator(lower, upper)
-    exponential = spectral_function(frame_spectrum(frame), lambda lam: math.exp(generator(lam)))
+    exponential = spectral_function(frame_spectrum(frame), lambda lam: np.exp(generator(lam)))
     return exponential * _inverse_geometric_mean(lower, upper)
 
 
@@ -252,7 +252,7 @@ class _Rule(NamedTuple):
     scale * series approximates S^power phi_i, with reconstruction error at
     most bound(A, B, N)."""
 
-    generator: Callable[[float, float], Callable[[float], float]]
+    generator: Callable[[float, float], Callable[[np.ndarray], np.ndarray]]
     weight: Callable[[int], float]
     scale: Callable[[float, float], float]
     bound: Callable[[float, float, int], float]

@@ -177,6 +177,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--alpha" in argv[:-1]:  # argparse takes a lone "-1e-3" for an option
+        k = argv.index("--alpha")
+        argv[k : k + 2] = [f"--alpha={argv[k + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .contract import NotAFrameError, _check_count, frame_from_dict, frame_to_json, load_frame
-from .linalg import SVD, EigenDecomposition, _svd_error, spectral_function, svd, symmetrize
+from .linalg import SVD, EigenDecomposition, _svd_error, _undefined_at, spectral_function, svd, symmetrize
 
 __all__ = [
     "BoundCheckReport",
@@ -322,24 +322,25 @@ def proposition1_check(
     )
 
 
-def commuting_scale(frame: Frame, scale: Callable[[float], float]) -> Frame:
+def commuting_scale(frame: Frame, scale: Callable[[np.ndarray], np.ndarray]) -> Frame:
     """Rescale the frame by T^(1/2) for the positive operator T = scale(S).
 
     A function of the frame operator S commutes with it by construction, and
     its root is sqrt(scale) on S's own spectrum, so nothing but the frame is
-    factored. ``scale`` must be finite and positive on every eigenvalue of S;
-    otherwise a ``ValueError`` naming the eigenvalue is raised. The new family
-    {T^(1/2) phi_i} need not be a frame; when it is, it shares its
-    Parseval-tight family with the original frame.
+    factored. ``scale`` takes the eigenvalue array of S, as in ``spectral_function``,
+    and must be finite and positive on it; otherwise a ``ValueError`` names the
+    first eigenvalue where it is not. The new family {T^(1/2) phi_i} need not be
+    a frame; when it is, it shares its Parseval-tight family with the original frame.
     """
 
-    def root(lam: float) -> float:
-        value = float(scale(lam))
-        if value == math.inf:
-            raise ValueError("T = scale(S) has a spectrum that overflows float64")
-        if not value > 0.0:
-            raise ValueError(f"T = scale(S) must be positive definite, got scale = {value!r}")
-        return math.sqrt(value)
+    def root(lam: np.ndarray) -> np.ndarray:
+        t = np.broadcast_to(scale(lam), lam.shape)
+        k = (~(t > 0.0) | (t == np.inf)).argmax()  # the first refused, else 0
+        if t[k] == np.inf:
+            raise _undefined_at(lam[k], "T = scale(S) has a spectrum that overflows float64")
+        if not t[k] > 0.0:
+            raise _undefined_at(lam[k], f"T = scale(S) must be positive definite, got scale = {float(t[k])!r}")
+        return np.sqrt(t)
 
     return Frame(frame.dim, frame.vectors @ spectral_function(frame_spectrum(frame), root))
 
@@ -348,7 +349,7 @@ def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
     """Probe vectors as columns: ``samples`` seeded unit vectors, then every
     eigenvector of the frame operator."""
     samples = _check_count("samples", samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed))
     rows = np.empty((0, frame.dim))
     while len(rows) < samples:
         # A block continues the stream of single draws; rejected rows are redrawn from it.

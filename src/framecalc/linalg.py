@@ -12,7 +12,6 @@ the decomposition into an operator.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -113,20 +112,21 @@ def _svd_error(count: int) -> float:
     return 2.0**-53 * (2.0 ** (53 / 8) + count)
 
 
-def spectral_function(decomp: EigenDecomposition, func: Callable[[float], float]) -> np.ndarray:
+def _undefined_at(eigenvalue, reason: str) -> ValueError:
+    """The refusal of a spectral function that has no finite value at ``eigenvalue``."""
+    return ValueError(f"spectral function undefined at eigenvalue {float(eigenvalue)!r}: {reason}")
+
+
+def spectral_function(decomp: EigenDecomposition, func: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The operator ``V @ diag(func(w)) @ V.T`` of a decomposition, exactly symmetric.
 
-    ``func`` must be finite on every eigenvalue; otherwise a ``ValueError``
-    naming the offending eigenvalue is raised.
+    ``func`` takes the ascending eigenvalue array under ``np.errstate(all="ignore")``
+    and may return one value for all; a ``ValueError`` names the first where it is not finite.
     """
-    values = np.empty(len(decomp.eigenvalues))
-    for k, eigenvalue in enumerate(decomp.eigenvalues):
-        lam = float(eigenvalue)
-        try:
-            value = float(func(lam))
-            if not math.isfinite(value):
-                raise ValueError(f"got {value!r}")
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError(f"spectral function undefined at eigenvalue {lam!r}: {exc}") from exc
-        values[k] = value
+    lam = decomp.eigenvalues
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(func(lam), lam.shape)
+    k = np.isfinite(values).argmin()  # the first that is not finite, else 0
+    if not np.isfinite(values[k]):
+        raise _undefined_at(lam[k], f"got {float(values[k])!r}")
     return symmetrize((decomp.eigenvectors * values) @ decomp.eigenvectors.T)

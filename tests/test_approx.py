@@ -482,6 +482,54 @@ def test_wide_ratio_sweep_holds_on_bound_plus_floor():
             assert floored > 0
 
 
+def binomial_half_coefficient(k):
+    """(-1)^k C(-1/2, k), the k-th Taylor coefficient of (1 - x)^(-1/2)."""
+    return (-1) ** k * math.prod(-0.5 - j for j in range(k)) / math.factorial(k)
+
+
+# Each scheme's series coefficient c_k and scale s: its order-N family is
+# s * sum_(k <= N) c_k G^k phi_i for its generator G, a function of S.
+SERIES = {
+    Scheme.NEUMANN: (lambda k: 1.0, lambda a, b: 2.0 / (a + b)),
+    Scheme.BINOMIAL_HALF: (binomial_half_coefficient, lambda a, b: math.sqrt(2.0 / (a + b))),
+    Scheme.LOGARITHMIC: (lambda k: 1.0 / math.factorial(k), lambda a, b: 1.0 / math.sqrt(a * b)),
+}
+
+
+def polynomial_errors(frame, scheme, lower, upper, n_max):
+    """Worst reconstruction error of orders 0..n_max from the scheme's scalar
+    error polynomial on the eigenvalues of S: 1 - s p_N(g) lam for a dual,
+    which pairs with the frame, and 1 - (s p_N(g))^2 lam for the tight family,
+    which pairs with itself, with p_N the order-N series and g the generator."""
+    lam = frame_spectrum(frame).eigenvalues
+    g = _RULES[scheme].generator(lower, upper)(lam)
+    coefficient, scale = SERIES[scheme]
+    partial = np.zeros_like(lam)
+    for order in range(n_max + 1):
+        partial = partial + coefficient(order) * g**order
+        family = scale(lower, upper) * partial
+        gain = family**2 if scheme is Scheme.BINOMIAL_HALF else family
+        yield float(np.max(np.abs(1.0 - gain * lam)))
+
+
+def test_error_polynomials_on_the_spectrum_give_the_measured_errors():
+    # The probes include every eigenvector, so the measured error is the
+    # largest |1 - gain(lam)| on the spectrum, up to the rounding its row's
+    # floor bounds.
+    rng = np.random.default_rng(11)
+    ratios = {
+        Scheme.NEUMANN: lambda: 10.0 ** rng.uniform(0.1, 3.0),
+        Scheme.BINOMIAL_HALF: lambda: rng.uniform(1.05, 2.9),
+        Scheme.LOGARITHMIC: lambda: 10.0 ** rng.uniform(0.5, 8.0),
+    }
+    for scheme, draw_ratio in ratios.items():
+        for frame in [demo_frame_2d(), demo_frame_3d()] + [wide_frame(rng, draw_ratio()) for _ in range(8)]:
+            lower, upper = optimal_bounds(frame)
+            rows = run_convergence(frame, scheme, lower, upper, 40, 32, 11).rows
+            for row, error in zip(rows, polynomial_errors(frame, scheme, lower, upper, 40), strict=True):
+                assert abs(row.measured_error - error) <= row.floor, (scheme, frame.dim, row.order)
+
+
 def caught_orders(monkeypatch, frame, scheme, rule):
     """Orders at which a run with ``rule`` substituted for the scheme's measures
     past its bound plus its floor, and past its bound plus 100 times its floor."""

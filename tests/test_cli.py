@@ -118,6 +118,13 @@ def test_alpha_zero_echoes_frame(frame_file, capsys):
     )
 
 
+@pytest.mark.parametrize("alpha", ["-1e-3", "-1E+2", "-1.5e0"])
+def test_alpha_takes_negative_values_in_exponent_notation(alpha, frame_file, capsys):
+    joined = run_cli(capsys, ["alpha", frame_file, f"--alpha={alpha}"])
+    assert joined[0] == 0
+    assert run_cli(capsys, ["alpha", frame_file, "--alpha", alpha]) == joined
+
+
 def test_alpha_on_non_frame_exits_one(rank_deficient_file, capsys):
     code, _, err = run_cli(capsys, ["alpha", rank_deficient_file, "--alpha", "-1"])
     assert code == 1
@@ -743,6 +750,9 @@ def test_gabor_grid_past_any_sample_count_exits_two(flag, value, message, capsys
 
 
 def test_usage_errors_exit_two(frame_file, capsys):
+    assert run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann", "--seed", "-1"]) == (
+        2, "", "error: seed must be a non-negative integer, got -1\n"
+    )
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["unknown-command"])
     assert excinfo.value.code == 2

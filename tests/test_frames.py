@@ -638,6 +638,7 @@ def test_probes_drawn_as_one_block_equal_single_draws_bit_for_bit(monkeypatch):
 COUNT_ENTRY_POINTS = {
     "run_convergence-n_max": ("n_max", lambda n: run_convergence(demo_frame_2d(), Scheme.NEUMANN, 1.0, 2.0, n, 4, 0)),
     "run_convergence-samples": ("samples", lambda n: run_convergence(demo_frame_2d(), Scheme.NEUMANN, 1.0, 2.0, 2, n, 0)),
+    "run_convergence-seed": ("seed", lambda n: run_convergence(demo_frame_2d(), Scheme.NEUMANN, 1.0, 2.0, 2, 4, n)),
     "neumann_dual": ("order", lambda n: neumann_dual(demo_frame_2d(), 1.0, 2.0, n)),
     "log_dual": ("order", lambda n: log_dual(demo_frame_2d(), 1.0, 2.0, n)),
     "binomial_tight": ("order", lambda n: binomial_tight(demo_frame_2d(), 1.0, 2.0, n)),
@@ -645,6 +646,7 @@ COUNT_ENTRY_POINTS = {
     "binomial_bounds": ("order", lambda n: binomial_bounds(1.0, 2.0, n)),
     "log_bound": ("order", lambda n: log_bound(1.0, 2.0, n)),
     "proposition1_check": ("samples", lambda n: proposition1_check(demo_frame_2d(), -0.5, n)),
+    "proposition1_check-seed": ("seed", lambda n: proposition1_check(demo_frame_2d(), -0.5, 4, n)),
     "GaborParams": ("mod_order", lambda n: GaborParams(p0=1.0, q0=4.0, mod_order=n)),
     "gabor_probe_signals": ("count", lambda n: gabor_probe_signals(demo_gabor_params(), count=n)),
 }
@@ -721,14 +723,24 @@ def test_commuting_scale_tests_positivity_not_the_frame_rule():
     frame = demo_frame_2d()
     # Positive definite with kappa(T) = 1e13: accepted, and the rescaled
     # family, with kappa = 2e13, is judged like any other family.
-    scaled = commuting_scale(frame, lambda lam: 1e-13 if lam < 1.5 else 1.0)
+    scaled = commuting_scale(frame, lambda lam: np.where(lam < 1.5, 1e-13, 1.0))
     report = diagnostics(scaled)
     assert not report.is_frame
     assert report.lambda_max / report.lambda_min == pytest.approx(2e13, rel=1e-3)
     bottom = repr(float(frame_spectrum(frame).eigenvalues[0]))
     for low in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match=f"eigenvalue {re.escape(bottom)}: .*positive definite"):
-            commuting_scale(frame, lambda lam: low if lam < 1.5 else 1.0)
+            commuting_scale(frame, lambda lam: np.where(lam < 1.5, low, 1.0))
+
+
+def test_commuting_scale_names_the_first_refused_eigenvalue():
+    # Eigenvalues 1 and 2, one refused for its sign and one for overflow: the
+    # lower one is named, whichever rule refuses it.
+    frame = demo_frame_2d()
+    with pytest.raises(ValueError, match="eigenvalue 1.0: .*positive definite, got scale = -1.0"):
+        commuting_scale(frame, lambda lam: np.where(lam < 1.5, -1.0, np.inf))
+    with pytest.raises(ValueError, match="eigenvalue 1.0: .*spectrum that overflows float64"):
+        commuting_scale(frame, lambda lam: np.where(lam < 1.5, np.inf, -1.0))
 
 
 def test_commuting_scale_names_an_overflowing_spectrum():
