@@ -27,7 +27,7 @@ import numpy as np
 
 from .contract import Scheme, _check_count, _format_float
 from .frames import Frame, _checked_bounds, _checked_frame_bounds, _probes, frame_spectrum
-from .linalg import _svd_error, spectral_function, svd
+from .linalg import _svd_error, spectral_function
 
 __all__ = [
     "BinomialBounds",
@@ -282,7 +282,8 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame,
     """How far rounding can move a measured order-N reconstruction error of
     ``frame``, to first order in u = 2^-53, charging gamma_k = k u/(1 - k u) in
     norm to each length-k inner product (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator.
+    Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator;
+    derived for dense products, it also bounds the series on S's eigenvalues, which rounds less.
 
     The family is s P(G) V, P the series in the generator G and ||V||^2 <= B.
     P's majorant M = sum |c_k| ||G||^k is (1-q)^power for the Neumann generator
@@ -307,45 +308,40 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame,
 
 
 def _series(
-    frame: Frame, scheme: Scheme, lower: float, upper: float, start: np.ndarray, order: int
+    op: np.ndarray, weight: Callable[[int], float], start: np.ndarray, order: int
 ) -> Iterator[np.ndarray]:
     """Yield the partial sums t_0 + ... + t_N for N = 0..order, where t_0 = start
     and t_k = t_(k-1) @ op * weight(k); one matrix product per order."""
-    rule = _RULES[scheme]
-    op = spectral_function(frame_spectrum(frame), rule.generator(lower, upper))
     term = acc = start
     yield acc
     for k in range(1, order + 1):
-        term = (term @ op) * rule.weight(k)
+        term = (term @ op) * weight(k)
         acc = acc + term
         yield acc
 
 
-def _partial_sum(
-    frame: Frame, scheme: Scheme, lower: float, upper: float, start: np.ndarray, order: int
-) -> tuple[np.ndarray, float]:
-    """The order-N partial sum of a scheme's series from ``start``, and the
-    scheme's scale, after checking the order and the bounds."""
-    order = _check_count("order", order)
-    lower, upper = _checked_frame_bounds(frame, lower, upper)
-    for acc in _series(frame, scheme, lower, upper, start, order):
-        pass
-    return acc, _RULES[scheme].scale(lower, upper)
-
-
 def _family(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> Frame:
     """The scheme's order-N approximate family (dual, or tight for BinomialHalf)."""
-    acc, scale = _partial_sum(frame, scheme, lower, upper, frame.vectors, order)
-    return Frame(frame.dim, scale * acc)
+    order = _check_count("order", order)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
+    rule = _RULES[scheme]
+    op = spectral_function(frame_spectrum(frame), rule.generator(lower, upper))
+    for acc in _series(op, rule.weight, frame.vectors, order):
+        pass
+    return Frame(frame.dim, rule.scale(lower, upper) * acc)
 
 
 def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> float:
     """Spectral norm of the operator a scheme's series sums to, S^power / scale,
-    minus its order-N truncation on the identity."""
-    acc, scale = _partial_sum(frame, scheme, lower, upper, np.eye(frame.dim), order)
-    power = _RULES[scheme].power
-    exact = spectral_function(frame_spectrum(frame), lambda lam: lam**power / scale)
-    return float(svd(exact - acc).singular_values[-1])
+    minus its order-N truncation. Both are functions of S, so this is their
+    largest gap on S's eigenvalues, where the series runs on a diagonal."""
+    order = _check_count("order", order)
+    lower, upper = _checked_frame_bounds(frame, lower, upper)
+    rule, lam = _RULES[scheme], frame_spectrum(frame).eigenvalues
+    op = np.diag(rule.generator(lower, upper)(lam))
+    for acc in _series(op, rule.weight, np.ones_like(lam), order):
+        pass
+    return float(np.max(np.abs(lam**rule.power / rule.scale(lower, upper) - acc)))
 
 
 def run_convergence(
@@ -380,7 +376,8 @@ def run_convergence(
     exact_coeffs = frame.vectors @ probes
     scale = rule.scale(lower, upper)
     rows = []
-    for order, acc in enumerate(_series(frame, scheme, lower, upper, frame.vectors, n_max)):
+    op = spectral_function(frame_spectrum(frame), rule.generator(lower, upper))
+    for order, acc in enumerate(_series(op, rule.weight, frame.vectors, n_max)):
         family = scale * acc
         # The tight family S^(-1/2) phi_i is its own partner; a dual pairs with the frame.
         coeffs = family @ probes if rule.power == -0.5 else exact_coeffs

@@ -5,7 +5,8 @@ and ``dual`` (emit power families as frame JSON), ``perturb`` (convergence
 table of an approximation scheme as CSV), ``examples`` (regenerate the
 built-in numeric claims), and ``gabor`` (tight-window report as JSON).
 Every result goes to stdout, every diagnostic to stderr; redirect stdout to
-keep a result in a file. ``perturb`` measures each order on 32 seeded random
+keep a result in a file. Each option has one spelling, its full name: no
+prefix of it is accepted. ``perturb`` measures each order on 32 seeded random
 probes plus every eigenvector of the frame operator.
 
 Exit codes: 0 on success, 1 on a mathematical failure (not a frame, a bound
@@ -34,23 +35,24 @@ __all__ = ["main", "run"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framecalc",
+        allow_abbrev=False,
         description="Finite-frame analysis: duals, power families, "
         "perturbative approximations, and the tight window demo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="spectral diagnostics of a frame file")
+    analyze = sub.add_parser("analyze", allow_abbrev=False, help="spectral diagnostics of a frame file")
     analyze.add_argument("frame", help="path to a frame JSON file")
 
-    alpha = sub.add_parser("alpha", help="emit the power-alpha family as frame JSON")
+    alpha = sub.add_parser("alpha", allow_abbrev=False, help="emit the power-alpha family as frame JSON")
     alpha.add_argument("frame", help="path to a frame JSON file")
     alpha.add_argument("--alpha", type=float, required=True, help="power exponent")
 
-    dual = sub.add_parser("dual", help="emit the canonical dual frame (alpha = -1)")
+    dual = sub.add_parser("dual", allow_abbrev=False, help="emit the canonical dual frame (alpha = -1)")
     dual.add_argument("frame", help="path to a frame JSON file")
     dual.set_defaults(alpha=-1.0)
 
-    perturb = sub.add_parser("perturb", help="convergence table for a scheme, as CSV")
+    perturb = sub.add_parser("perturb", allow_abbrev=False, help="convergence table for a scheme, as CSV")
     perturb.add_argument("frame", help="path to a frame JSON file")
     perturb.add_argument(
         "--scheme",
@@ -62,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     perturb.add_argument("--N-max", type=int, default=10, help="largest series order")
     perturb.add_argument("--seed", type=int, default=0, help="probe generator seed")
 
-    sub.add_parser("examples", help="regenerate the built-in numeric claims")
+    sub.add_parser("examples", allow_abbrev=False, help="regenerate the built-in numeric claims")
 
-    gabor = sub.add_parser("gabor", help="tight-window report as JSON")
+    gabor = sub.add_parser("gabor", allow_abbrev=False, help="tight-window report as JSON")
     gabor.add_argument("--p0", type=float, default=1.0, help="modulation step")
     gabor.add_argument("--q0", type=float, default=4.0, help="translation step")
     gabor.add_argument("--grid-step", type=float, default=None, help="grid spacing (default: q0/64)")

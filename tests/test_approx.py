@@ -33,7 +33,7 @@ from framecalc import (
     write_csv,
     zn_bound,
 )
-from framecalc.approx import _RULES, _inverse_geometric_mean, _log_generator, _neumann_generator
+from framecalc.approx import _RULES, _floor, _inverse_geometric_mean, _log_generator, _neumann_generator
 
 ORTHONORMAL = Frame(3, np.eye(3))
 
@@ -497,25 +497,36 @@ SERIES = {
 
 
 def polynomial_errors(frame, scheme, lower, upper, n_max):
-    """Worst reconstruction error of orders 0..n_max from the scheme's scalar
-    error polynomial on the eigenvalues of S: 1 - s p_N(g) lam for a dual,
-    which pairs with the frame, and 1 - (s p_N(g))^2 lam for the tight family,
-    which pairs with itself, with p_N the order-N series and g the generator."""
+    """Per order N = 0..n_max, the worst reconstruction error and the truncation
+    norm from the scheme's scalar series on the eigenvalues of S, with p_N the
+    order-N series, g the generator and s the scale. The error is the largest
+    |1 - s p_N(g) lam| for a dual, which pairs with the frame, and
+    |1 - (s p_N(g))^2 lam| for the tight family, which pairs with itself; the
+    norm is the largest |lam^power / s - p_N(g)|, power -1/2 for the tight family
+    and -1 for a dual."""
     lam = frame_spectrum(frame).eigenvalues
     g = _RULES[scheme].generator(lower, upper)(lam)
     coefficient, scale = SERIES[scheme]
+    power = -0.5 if scheme is Scheme.BINOMIAL_HALF else -1.0
     partial = np.zeros_like(lam)
     for order in range(n_max + 1):
         partial = partial + coefficient(order) * g**order
         family = scale(lower, upper) * partial
         gain = family**2 if scheme is Scheme.BINOMIAL_HALF else family
-        yield float(np.max(np.abs(1.0 - gain * lam)))
+        truncation = lam**power / scale(lower, upper) - partial
+        yield float(np.max(np.abs(1.0 - gain * lam))), float(np.max(np.abs(truncation)))
+
+
+# The truncation norm of each scheme that reports one; every BinomialHalf frame
+# below has B < 3A.
+TRUNCATION_NORMS = {Scheme.BINOMIAL_HALF: binomial_remainder_norm, Scheme.LOGARITHMIC: log_remainder_norm}
 
 
 def test_error_polynomials_on_the_spectrum_give_the_measured_errors():
     # The probes include every eigenvector, so the measured error is the
     # largest |1 - gain(lam)| on the spectrum, up to the rounding its row's
-    # floor bounds.
+    # floor bounds. A truncation norm is the largest gap between lam^power / s
+    # and the series on the spectrum, up to its floor with no product (count 0).
     rng = np.random.default_rng(11)
     ratios = {
         Scheme.NEUMANN: lambda: 10.0 ** rng.uniform(0.1, 3.0),
@@ -526,8 +537,12 @@ def test_error_polynomials_on_the_spectrum_give_the_measured_errors():
         for frame in [demo_frame_2d(), demo_frame_3d()] + [wide_frame(rng, draw_ratio()) for _ in range(8)]:
             lower, upper = optimal_bounds(frame)
             rows = run_convergence(frame, scheme, lower, upper, 40, 32, 11).rows
-            for row, error in zip(rows, polynomial_errors(frame, scheme, lower, upper, 40), strict=True):
+            for row, (error, gap) in zip(rows, polynomial_errors(frame, scheme, lower, upper, 40), strict=True):
                 assert abs(row.measured_error - error) <= row.floor, (scheme, frame.dim, row.order)
+                if scheme in TRUNCATION_NORMS:
+                    norm = TRUNCATION_NORMS[scheme](frame, lower, upper, row.order)
+                    floor = _floor(scheme, lower, upper, row.order, frame, 0)
+                    assert abs(norm - gap) <= floor, (scheme, frame.dim, row.order)
 
 
 def caught_orders(monkeypatch, frame, scheme, rule):

@@ -773,6 +773,10 @@ def test_usage_errors_exit_two(frame_file, capsys):
         ["dual", frame_file, "--out", "x.json"],
         ["perturb", frame_file, "--scheme", "neumann", "--out", "x.csv"],
         ["perturb", frame_file, "--scheme", "neumann", "--samples", "8"],
+        # Each option has one spelling: argparse's unique prefixes are refused.
+        ["alpha", frame_file, "--al", "-1e-3"],
+        ["alpha", frame_file, "--al=-1e-3"],
+        ["perturb", frame_file, "--scheme", "neumann", "--N", "2"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)

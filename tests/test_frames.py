@@ -119,9 +119,9 @@ def test_one_factorization_per_frame(factorizations):
 
 
 # The SVDs each public call makes on a fresh frame f with exact bounds (a, b): one
-# per frame on first spectral use, none for a family built from a factorization
-# (``alpha_frame``'s), and one more for each truncation norm. Every case is a
-# single call on f, or the named call on its result.
+# per frame on first spectral use, and none for a family built from a factorization
+# (``alpha_frame``'s). A truncation norm reads S's eigenvalues, so it takes no
+# second. Every case is a single call on f, or the named call on its result.
 SVDS_PER_CALL = {
     "construct": (0, lambda f, a, b: None),
     "diagnostics": (1, lambda f, a, b: diagnostics(f)),
@@ -137,8 +137,8 @@ SVDS_PER_CALL = {
     "commuting_scale": (1, lambda f, a, b: commuting_scale(f, lambda lam: lam + 1.0)),
     "diagnostics_of_alpha_frame": (1, lambda f, a, b: diagnostics(alpha_frame(f, 0.5))),
     "diagnostics_of_commuting_scale": (2, lambda f, a, b: diagnostics(commuting_scale(f, lambda lam: lam + 1.0))),
-    "log_remainder_norm": (2, lambda f, a, b: log_remainder_norm(f, a, b, 3)),
-    "binomial_remainder_norm": (2, lambda f, a, b: binomial_remainder_norm(f, a, b, 3)),
+    "log_remainder_norm": (1, lambda f, a, b: log_remainder_norm(f, a, b, 3)),
+    "binomial_remainder_norm": (1, lambda f, a, b: binomial_remainder_norm(f, a, b, 3)),
 }
 
 
