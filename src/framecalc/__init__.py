@@ -10,15 +10,15 @@ See the demos/ directory for narrative walkthroughs and the ``framecalc``
 command line for file-based workflows.
 
 ``import framecalc`` loads no layer and not numpy. The first name asked of
-the package that it does not yet hold imports the five layers and binds all
-of their public names and ``__all__``, so that from then on the namespace is
-that of an eager package, while each ``framecalc`` process loads only what
-its subcommand runs.
+the package that it does not yet hold imports ``contract`` and the five layers
+and binds all of their public names, each listed by one module, and
+``__all__``, so that from then on the namespace is that of an eager package,
+while each ``framecalc`` process loads only what its subcommand runs.
 """
 
 __version__ = "0.1.0"
 
-_LAYERS = ("linalg", "frames", "approx", "gabor", "reference")
+_LAYERS = ("contract", "linalg", "frames", "approx", "gabor", "reference")
 
 
 def __getattr__(name: str):

@@ -33,7 +33,6 @@ __all__ = [
     "BinomialBounds",
     "ConvergenceReport",
     "ConvergenceRow",
-    "Scheme",
     "binomial_bounds",
     "binomial_remainder_norm",
     "binomial_tight",

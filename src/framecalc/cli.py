@@ -1,13 +1,11 @@
 """Command-line surface.
 
-Subcommands: ``analyze`` (spectral diagnostics of a frame file), ``alpha``
-and ``dual`` (emit power families as frame JSON), ``perturb`` (convergence
-table of an approximation scheme as CSV), ``examples`` (regenerate the
-built-in numeric claims), and ``gabor`` (tight-window report as JSON).
-Every result goes to stdout, every diagnostic to stderr; redirect stdout to
-keep a result in a file. Each option has one spelling, its full name: no
-prefix of it is accepted. ``perturb`` measures each order on 32 seeded random
-probes plus every eigenvector of the frame operator.
+Each subcommand is declared once, in ``_build_parser``: its options, its help
+line (``framecalc --help`` lists them) and its handler. Every result goes to
+stdout, every diagnostic to stderr; redirect stdout to keep a result in a
+file. Each option has one spelling, its full name: no prefix of it is
+accepted. ``perturb`` measures each order on 32 seeded random probes plus
+every eigenvector of the frame operator.
 
 Exit codes: 0 on success, 1 on a mathematical failure (not a frame, a bound
 violated, a claim failed, a window outside the 1% tightness gate), 2 on
@@ -43,14 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", allow_abbrev=False, help="spectral diagnostics of a frame file")
     analyze.add_argument("frame", help="path to a frame JSON file")
+    analyze.set_defaults(run=_cmd_analyze)
 
     alpha = sub.add_parser("alpha", allow_abbrev=False, help="emit the power-alpha family as frame JSON")
     alpha.add_argument("frame", help="path to a frame JSON file")
     alpha.add_argument("--alpha", type=float, required=True, help="power exponent")
+    alpha.set_defaults(run=_cmd_alpha)
 
     dual = sub.add_parser("dual", allow_abbrev=False, help="emit the canonical dual frame (alpha = -1)")
     dual.add_argument("frame", help="path to a frame JSON file")
-    dual.set_defaults(alpha=-1.0)
+    dual.set_defaults(run=_cmd_alpha, alpha=-1.0)
 
     perturb = sub.add_parser("perturb", allow_abbrev=False, help="convergence table for a scheme, as CSV")
     perturb.add_argument("frame", help="path to a frame JSON file")
@@ -63,8 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     perturb.add_argument("--N-max", type=int, default=10, help="largest series order")
     perturb.add_argument("--seed", type=int, default=0, help="probe generator seed")
+    perturb.set_defaults(run=_cmd_perturb)
 
-    sub.add_parser("examples", allow_abbrev=False, help="regenerate the built-in numeric claims")
+    examples = sub.add_parser("examples", allow_abbrev=False, help="regenerate the built-in numeric claims")
+    examples.set_defaults(run=_cmd_examples)
 
     gabor = sub.add_parser("gabor", allow_abbrev=False, help="tight-window report as JSON")
     gabor.add_argument("--p0", type=float, default=1.0, help="modulation step")
@@ -72,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gabor.add_argument("--grid-step", type=float, default=None, help="grid spacing (default: q0/64)")
     gabor.add_argument("--halfwidth", type=float, default=None, help="grid half width (default: 12*q0)")
     gabor.add_argument("--M", type=int, default=64, help="modulation truncation order")
+    gabor.set_defaults(run=_cmd_gabor)
 
     return parser
 
@@ -168,16 +171,6 @@ def _cmd_gabor(args) -> int:
     return 0 if report.passed else 1
 
 
-COMMANDS = {
-    "analyze": _cmd_analyze,
-    "alpha": _cmd_alpha,
-    "dual": _cmd_alpha,
-    "perturb": _cmd_perturb,
-    "examples": _cmd_examples,
-    "gabor": _cmd_gabor,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     while "--alpha" in argv[:-1]:  # argparse takes a lone "-1e-3" for an option
@@ -185,13 +178,10 @@ def main(argv=None) -> int:
         argv[k : k + 2] = [f"--alpha={argv[k + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except NotAFrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return args.run(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NotAFrameError) else 2
 
 
 def run() -> None:

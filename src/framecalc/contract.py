@@ -4,8 +4,8 @@ format, the count rule, the scheme names and the error for a non-frame.
 A frame file is {"dim": n, "vectors": [[...], ...], "bounds": [A, B]}, with
 "bounds" optional. Floats are written with 17 significant digits, and negative
 zero as ``-0.0``, so files round-trip bit-faithfully. Nothing here loads numpy
-or a layer until a file passes its schema; ``frames`` and ``approx`` re-export
-the public names.
+or a layer until a file passes its schema. The package exports the public names
+from here, as it does those of every layer.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ for every f. This module provides the analysis/synthesis operators, the frame
 operator S = sum_i phi_i phi_i^T, spectral diagnostics, the full family of
 fractional-power frames {S^alpha phi_i} (dual at alpha = -1, Parseval-tight at
 alpha = -1/2) and the generalized reconstruction identities they satisfy. The
-frame file format lives in ``contract``; its names are re-exported here.
+frame file format and ``NotAFrameError`` live in ``contract``.
 """
 
 from __future__ import annotations
@@ -19,24 +19,21 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .contract import NotAFrameError, _check_count, frame_from_dict, frame_to_json, load_frame
-from .linalg import SVD, EigenDecomposition, _svd_error, _undefined_at, spectral_function, svd, symmetrize
+from .contract import NotAFrameError, _check_count
+from .linalg import SVD, EigenDecomposition, _real_values, _svd_error, _undefined_at, spectral_function
+from .linalg import svd, symmetrize
 
 __all__ = [
     "BoundCheckReport",
     "Frame",
     "FrameDiagnostics",
-    "NotAFrameError",
     "alpha_frame",
     "analysis",
     "commuting_scale",
     "diagnostics",
     "dual_frame",
-    "frame_from_dict",
     "frame_operator",
     "frame_spectrum",
-    "frame_to_json",
-    "load_frame",
     "optimal_bounds",
     "proposition1_check",
     "reconstruct",
@@ -328,13 +325,13 @@ def commuting_scale(frame: Frame, scale: Callable[[np.ndarray], np.ndarray]) -> 
     A function of the frame operator S commutes with it by construction, and
     its root is sqrt(scale) on S's own spectrum, so nothing but the frame is
     factored. ``scale`` takes the eigenvalue array of S, as in ``spectral_function``,
-    and must be finite and positive on it; otherwise a ``ValueError`` names the
-    first eigenvalue where it is not. The new family {T^(1/2) phi_i} need not be
+    and must be real, finite and positive on it; otherwise a ``ValueError`` names
+    the first eigenvalue where it is not. The new family {T^(1/2) phi_i} need not be
     a frame; when it is, it shares its Parseval-tight family with the original frame.
     """
 
     def root(lam: np.ndarray) -> np.ndarray:
-        t = np.broadcast_to(scale(lam), lam.shape)
+        t = _real_values(lam, scale)
         k = (~(t > 0.0) | (t == np.inf)).argmax()  # the first refused, else 0
         if t[k] == np.inf:
             raise _undefined_at(lam[k], "T = scale(S) has a spectrum that overflows float64")

@@ -67,25 +67,24 @@ class GaborParams:
             raise ValueError(f"p0 must be positive, got {self.p0}")
         if not (self.q0 > 0.0 and math.isfinite(self.q0)):
             raise ValueError(f"q0 must be positive, got {self.q0}")
+        # Python floats from here on: a numpy scalar's precision reaches no check or report.
+        object.__setattr__(self, "p0", float(self.p0))
+        object.__setattr__(self, "q0", float(self.q0))
         if not self.q0 < 2.0 * math.pi / self.p0:
-            raise ValueError(
-                f"no frame: q0 must be smaller than 2*pi/p0 = {2.0 * math.pi / self.p0}"
-            )
+            raise ValueError(f"no frame: q0 must be smaller than 2*pi/p0 = {2.0 * math.pi / self.p0}")
         if self.q0 < math.pi / self.p0:
-            raise ValueError(
-                f"degenerate window: q0 must be at least pi/p0 = {math.pi / self.p0}"
-            )
-        if self.grid_step is None:
-            object.__setattr__(self, "grid_step", self.q0 / 64.0)
-        if self.grid_halfwidth is None:
-            object.__setattr__(self, "grid_halfwidth", 12.0 * self.q0)
-        if not (0.0 < self.grid_step < math.inf and 0.0 < self.grid_halfwidth < math.inf):
+            raise ValueError(f"degenerate window: q0 must be at least pi/p0 = {math.pi / self.p0}")
+        step = self.q0 / 64.0 if self.grid_step is None else self.grid_step
+        halfwidth = 12.0 * self.q0 if self.grid_halfwidth is None else self.grid_halfwidth
+        if not (0.0 < step < math.inf and 0.0 < halfwidth < math.inf):
             raise ValueError("grid_step and grid_halfwidth must be finite and positive")
+        object.__setattr__(self, "grid_step", float(step))
+        object.__setattr__(self, "grid_halfwidth", float(halfwidth))
         # sample_grid's float64 samples need a byte count that a Py_ssize_t holds.
         if not self.grid_halfwidth / self.grid_step < sys.maxsize / 16:
             grid = f"grid_halfwidth = {self.grid_halfwidth} over grid_step = {self.grid_step}"
             raise ValueError(f"{grid} gives more samples than a numpy array can hold")
-        _check_count("mod_order", self.mod_order)
+        object.__setattr__(self, "mod_order", _check_count("mod_order", self.mod_order))
 
     @property
     def transition_width(self) -> float:
@@ -262,10 +261,11 @@ def tightness_check(signal, params: GaborParams, window_gain: float = 1.0) -> Ti
     if values.shape != (2 * half + 1,):
         raise ValueError(f"signal has {values.shape} samples but the grid has {(2 * half + 1,)}")
     # A gain of 2^512 or more has a square past the float range.
-    target = params.tight_constant * window_gain**2 if 0.0 < window_gain < 2.0**512 else math.nan
+    gain = float(window_gain) if 0.0 < window_gain else math.nan
+    target = params.tight_constant * gain**2 if gain < 2.0**512 else math.nan
     if not 0.0 < target < math.inf:
         raise ValueError(f"window_gain and its target must be finite and positive, got {window_gain}")
-    mantissa, exponent = math.frexp(window_gain)
+    mantissa, exponent = math.frexp(gain)
     step = params.grid_step
     edge = math.pi / params.p0
     length = (math.ceil(2.0 * edge / step) + 4) // 2 * 2

@@ -117,15 +117,25 @@ def _undefined_at(eigenvalue, reason: str) -> ValueError:
     return ValueError(f"spectral function undefined at eigenvalue {float(eigenvalue)!r}: {reason}")
 
 
+def _real_values(lam: np.ndarray, func: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``func(lam)`` as reals in ``lam``'s shape; a ``ValueError`` names the first
+    eigenvalue where it is not real."""
+    values = np.broadcast_to(func(lam), lam.shape)
+    k = (np.imag(values) == 0.0).argmin()  # the first that is not real, else 0
+    if np.imag(values[k]) != 0.0:
+        raise _undefined_at(lam[k], f"got {values[k].item()!r}, which is not real")
+    return np.real(values)
+
+
 def spectral_function(decomp: EigenDecomposition, func: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The operator ``V @ diag(func(w)) @ V.T`` of a decomposition, exactly symmetric.
 
     ``func`` takes the ascending eigenvalue array under ``np.errstate(all="ignore")``
-    and may return one value for all; a ``ValueError`` names the first where it is not finite.
+    and may return one value for all; a ``ValueError`` names the first where it is not real and finite.
     """
     lam = decomp.eigenvalues
     with np.errstate(all="ignore"):
-        values = np.broadcast_to(func(lam), lam.shape)
+        values = _real_values(lam, func)
     k = np.isfinite(values).argmin()  # the first that is not finite, else 0
     if not np.isfinite(values[k]):
         raise _undefined_at(lam[k], f"got {float(values[k])!r}")

@@ -26,7 +26,8 @@ from framecalc import (
     optimal_bounds,
     spectral_function,
 )
-from framecalc.approx import ConvergenceReport, ConvergenceRow, Scheme
+from framecalc.approx import ConvergenceReport, ConvergenceRow
+from framecalc.contract import Scheme
 from framecalc.reference import expected_power_family
 
 

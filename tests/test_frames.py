@@ -743,6 +743,14 @@ def test_commuting_scale_names_the_first_refused_eigenvalue():
         commuting_scale(frame, lambda lam: np.where(lam < 1.5, np.inf, -1.0))
 
 
+def test_commuting_scale_refuses_a_scale_that_is_not_real():
+    frame = demo_frame_2d()
+    with pytest.raises(ValueError, match=r"eigenvalue 1.0: got \(1\+1j\), which is not real"):
+        commuting_scale(frame, lambda lam: lam * (1 + 1j))
+    real = commuting_scale(frame, lambda lam: lam)
+    np.testing.assert_array_equal(commuting_scale(frame, lambda lam: lam + 0j).vectors, real.vectors)
+
+
 def test_commuting_scale_names_an_overflowing_spectrum():
     # T = 1e308 * S has a top eigenvalue of 2e308, which is not a float.
     frame = demo_frame_3d()

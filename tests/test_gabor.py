@@ -321,6 +321,22 @@ def test_the_window_gain_is_factored_out_as_a_power_of_two():
     assert small.relative_error == tightness_check(window, params, window_gain=math.frexp(gain)[0]).relative_error
 
 
+@pytest.mark.parametrize("integer, order, real", [(np.int8, 100, np.float16), (np.int16, 20000, np.float32), (np.int32, 2**30, np.float64)])
+def test_numpy_scalars_give_the_report_of_their_python_values(integer, order, real):
+    # The demo window's parameters and the gain are exact in float16, so the
+    # numpy scalars carry the Python values; the params keep Python numbers,
+    # and the report matches bit for bit, field types included.
+    values = {"p0": 1.0, "q0": 4.0, "grid_step": 1 / 16, "grid_halfwidth": 48.0}
+    expected_params = GaborParams(**values, mod_order=order)
+    params = GaborParams(**{key: real(value) for key, value in values.items()}, mod_order=integer(order))
+    assert [type(value) for value in vars(params).values()] == [float] * 4 + [int]
+    assert params == expected_params
+    report = tightness_check(window_g(sample_grid(params), params), params, window_gain=real(0.5))
+    expected = tightness_check(window_g(sample_grid(expected_params), expected_params), expected_params, window_gain=0.5)
+    assert report == expected
+    assert [type(field) for field in report] == [type(field) for field in expected]
+
+
 def _support_length(params):
     """L: ceil(2*pi/(p0*grid_step)) + 3 rounded up to even."""
     return (math.ceil(2.0 * math.pi / (params.p0 * params.grid_step)) + 4) // 2 * 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ def test_spectral_function_domain_errors_name_eigenvalue():
         spectral_function(EigenDecomposition(*np.linalg.eigh(singular)), lambda lam: 1.0 / lam)
     with pytest.raises(ValueError, match="undefined at eigenvalue"):
         spectral_function(HALF_SPECTRUM, lambda lam: float("nan"))
+
+
+def test_spectral_function_refuses_a_value_that_is_not_real():
+    # The first non-real value is named, and a complex value with a zero
+    # imaginary part is its real part.
+    low, high = (re.escape(repr(float(lam))) for lam in HALF_SPECTRUM.eigenvalues)
+    with pytest.raises(ValueError, match=rf"undefined at eigenvalue {low}: got \(1\+1j\), which is not real"):
+        spectral_function(HALF_SPECTRUM, lambda lam: np.full_like(lam, 1 + 1j, complex))
+    with pytest.raises(ValueError, match=rf"undefined at eigenvalue {high}: got \(2\+3j\), which is not real"):
+        spectral_function(HALF_SPECTRUM, lambda lam: np.where(lam < 1.5, 1.0 + 0j, 2.0 + 3j))
+    real = spectral_function(HALF_SPECTRUM, lambda lam: lam)
+    np.testing.assert_array_equal(spectral_function(HALF_SPECTRUM, lambda lam: lam + 0j), real)
 
 
 def test_spectral_power_semigroup():

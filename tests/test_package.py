@@ -6,7 +6,7 @@ import pytest
 
 import framecalc
 
-MODULES = ("linalg", "frames", "approx", "gabor", "reference")
+MODULES = ("contract", "linalg", "frames", "approx", "gabor", "reference")
 
 
 def test_package_surface_is_the_modules_surfaces():
@@ -29,14 +29,6 @@ def test_star_import_binds_exactly_the_public_names():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         framecalc.no_such_name
-
-
-def test_contract_names_are_re_exported_as_the_same_objects():
-    from framecalc import approx, contract, frames
-
-    for name in contract.__all__:
-        home = approx if name == "Scheme" else frames
-        assert name in home.__all__ and getattr(home, name) is getattr(contract, name), name
 
 
 def test_every_public_name_has_a_caller():
