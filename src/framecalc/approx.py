@@ -100,6 +100,13 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
+def _terms(order: int) -> int | float:
+    """N + 1 for an order N, capped at 1e300, where every bound here has its
+    N -> inf value (0.0, inf, or its constant at ratio one); the cap keeps a
+    larger order from raising in float arithmetic and leaves a smaller one as is."""
+    return min(_check_count("order", order) + 1, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # Neumann scheme
 # ---------------------------------------------------------------------------
@@ -125,10 +132,10 @@ def neumann_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
 
 def neumann_bound(lower: float, upper: float, order: int) -> float:
     """Worst relative reconstruction error of the order-N Neumann dual:
-    ((B-A)/(B+A))^(N+1), summed in logs like every bound here."""
+    ((B-A)/(B+A))^(N+1), summed in logs like every bound here, so no order
+    raises: past 1e300 an order gives the N -> inf value."""
     lower, upper = _checked_bounds(lower, upper)
-    order = _check_count("order", order)
-    return _exp((order + 1) * _log(0.5 * (upper - lower) / _midpoint(lower, upper)))
+    return _exp(_terms(order) * _log(0.5 * (upper - lower) / _midpoint(lower, upper)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +158,13 @@ def binomial_bounds(lower: float, upper: float, order: int) -> BinomialBounds:
 
     With q = (B-A)/(2A): tn = q^(N+1) sqrt((A+B)/(2A)) and, with
     h = sqrt(B/A) q^(N+1), reconstruction = h (2 + h). The powers are summed
-    in logs, so past B = 3A a high order gives inf instead of raising.
+    in logs, so no order raises: a high one gives 0.0 below B = 3A and inf
+    past it, and past 1e300 an order gives the N -> inf value.
     ``convergent`` is False when B >= 3A, where the bound ratio q reaches one
     and the estimates no longer shrink with N.
     """
     lower, upper = _checked_bounds(lower, upper)
-    order = _check_count("order", order)
-    log_power = (order + 1) * _log(0.5 * (upper - lower) / lower)
+    log_power = _terms(order) * _log(0.5 * (upper - lower) / lower)
     tn = _exp(log_power + 0.5 * math.log(_midpoint(lower, upper) / lower))
     head = _exp(log_power + 0.5 * math.log(upper / lower))
     return BinomialBounds(tn, head * (2.0 + head), upper < 3.0 * lower)
@@ -214,13 +221,10 @@ def log_dual(frame: Frame, lower: float, upper: float, order: int) -> Frame:
 def _exponential_tail(lower: float, upper: float, order: int, ratio_power: float) -> float:
     """(B/A)^ratio_power * r^(N+1) / (N+1)! with r = ln(B/A)/2, the norm bound of
     the generator, summed in logs so that it underflows to 0.0 and overflows
-    to inf instead of raising."""
+    to inf instead of raising; past 1e300 an order gives the N -> inf value."""
     lower, upper = _checked_bounds(lower, upper)
-    order = _check_count("order", order)
-    log_ratio = math.log(upper / lower)
-    return _exp(
-        ratio_power * log_ratio + (order + 1) * _log(0.5 * log_ratio) - math.lgamma(order + 2)
-    )
+    terms, log_ratio = _terms(order), math.log(upper / lower)
+    return _exp(ratio_power * log_ratio + terms * _log(0.5 * log_ratio) - math.lgamma(terms + 1))
 
 
 def log_bound(lower: float, upper: float, order: int) -> float:

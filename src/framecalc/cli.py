@@ -108,9 +108,9 @@ def _cmd_alpha(args) -> int:
 def _cmd_perturb(args) -> int:
     frame = load_frame(args.frame)
     from .approx import run_convergence, write_csv
-    from .frames import optimal_bounds
+    from .frames import _frame_bounds
 
-    lower, upper = frame.declared_bounds or optimal_bounds(frame)
+    lower, upper = frame.declared_bounds or _frame_bounds(frame, "bounds are undefined")
     report = run_convergence(
         frame,
         next(scheme for scheme in Scheme if scheme.value.lower() == args.scheme),

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .contract import NotAFrameError, _check_count
-from .linalg import SVD, EigenDecomposition, _real_values, _svd_error, _undefined_at, spectral_function
+from .linalg import SVD, EigenDecomposition, _real_values, _refuse_first, _svd_error, spectral_function
 from .linalg import svd, symmetrize
 
 __all__ = [
@@ -332,11 +332,9 @@ def commuting_scale(frame: Frame, scale: Callable[[np.ndarray], np.ndarray]) -> 
 
     def root(lam: np.ndarray) -> np.ndarray:
         t = _real_values(lam, scale)
-        k = (~(t > 0.0) | (t == np.inf)).argmax()  # the first refused, else 0
-        if t[k] == np.inf:
-            raise _undefined_at(lam[k], "T = scale(S) has a spectrum that overflows float64")
-        if not t[k] > 0.0:
-            raise _undefined_at(lam[k], f"T = scale(S) must be positive definite, got scale = {float(t[k])!r}")
+        _refuse_first(lam, t, ~(t > 0.0) | (t == np.inf), lambda v: (
+            "T = scale(S) has a spectrum that overflows float64" if v == np.inf
+            else f"T = scale(S) must be positive definite, got scale = {float(v)!r}"))
         return np.sqrt(t)
 
     return Frame(frame.dim, frame.vectors @ spectral_function(frame_spectrum(frame), root))

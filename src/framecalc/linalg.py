@@ -112,18 +112,19 @@ def _svd_error(count: int) -> float:
     return 2.0**-53 * (2.0 ** (53 / 8) + count)
 
 
-def _undefined_at(eigenvalue, reason: str) -> ValueError:
-    """The refusal of a spectral function that has no finite value at ``eigenvalue``."""
-    return ValueError(f"spectral function undefined at eigenvalue {float(eigenvalue)!r}: {reason}")
+def _refuse_first(lam: np.ndarray, values: np.ndarray, refused: np.ndarray, reason: Callable) -> None:
+    """Refuse a spectral function at the first eigenvalue in ``lam`` that ``refused``
+    marks: a ``ValueError`` names it and gives ``reason`` of its entry of ``values``."""
+    k = refused.argmax()  # the first refused, else 0
+    if refused[k]:
+        raise ValueError(f"spectral function undefined at eigenvalue {float(lam[k])!r}: {reason(values[k])}")
 
 
 def _real_values(lam: np.ndarray, func: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``func(lam)`` as reals in ``lam``'s shape; a ``ValueError`` names the first
     eigenvalue where it is not real."""
     values = np.broadcast_to(func(lam), lam.shape)
-    k = (np.imag(values) == 0.0).argmin()  # the first that is not real, else 0
-    if np.imag(values[k]) != 0.0:
-        raise _undefined_at(lam[k], f"got {values[k].item()!r}, which is not real")
+    _refuse_first(lam, values, np.imag(values) != 0.0, lambda v: f"got {v.item()!r}, which is not real")
     return np.real(values)
 
 
@@ -136,7 +137,5 @@ def spectral_function(decomp: EigenDecomposition, func: Callable[[np.ndarray], n
     lam = decomp.eigenvalues
     with np.errstate(all="ignore"):
         values = _real_values(lam, func)
-    k = np.isfinite(values).argmin()  # the first that is not finite, else 0
-    if not np.isfinite(values[k]):
-        raise _undefined_at(lam[k], f"got {float(values[k])!r}")
+    _refuse_first(lam, values, ~np.isfinite(values), lambda v: f"got {float(v)!r}")
     return symmetrize((decomp.eigenvectors * values) @ decomp.eigenvectors.T)

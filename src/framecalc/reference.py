@@ -90,6 +90,7 @@ def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
     coverage, taken as the G//2 + 1 powers of exp(0.2i*grid_step) that
     ``unit_powers`` builds from about sqrt(2*G) complex exponentials on a grid
     of G points. All 2*count bumps are one broadcast over a (2*count, G) array.
+    ``count`` and ``seed`` must be non-negative integers (a bool is neither).
     """
     count = _check_count("count", count)
     grid = sample_grid(params)
@@ -97,7 +98,7 @@ def gabor_probe_signals(params: GaborParams, count: int = 5, seed: int = 7):
     # Generator.uniform draws it: low + (high - low) * a standard uniform.
     low = np.array([-2.0 * params.q0, 0.6, 0.5])
     high = np.array([2.0 * params.q0, 1.3, 1.5])
-    draws = low + (high - low) * np.random.default_rng(seed).random((2 * count, 3))
+    draws = low + (high - low) * np.random.default_rng(_check_count("seed", seed)).random((2 * count, 3))
     center, amplitude = draws[:, 0, None], draws[:, 2, None]
     # Squared as Python floats: pow can round apart from numpy's square, and
     # the seeded probes are fixed reference signals.

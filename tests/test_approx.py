@@ -321,6 +321,10 @@ def test_log_dual_converges_to_dual():
     assert np.max(np.abs(approx.vectors - exact.vectors)) <= 1e-9
 
 
+# Orders from 2^53, where floats stop holding every integer, to past the float range.
+LARGE_ORDERS = (2**53, 3 * 10**305, 2**1024 - 1, 2**1024, 10**400)
+
+
 def test_log_and_zn_bounds_never_raise():
     # (N+1)! overflows a float from N = 170; the bounds are summed in logs.
     assert log_bound(1.0, 2.0, 200) == 0.0
@@ -329,6 +333,11 @@ def test_log_and_zn_bounds_never_raise():
         for bound in (log_bound, zn_bound):
             assert bound(1e-150, 1e150, order) >= 0.0
     assert log_bound(1e-150, 1e150, 345) == math.inf
+    # Past the float range of N + 1 (and of lgamma, from N near 2.5e305) each
+    # bound is its N -> inf value.
+    for order in LARGE_ORDERS:
+        for bound in (log_bound, zn_bound):
+            assert bound(1.0, 2.0, order) == bound(1e-150, 1e150, order) == 0.0
 
 
 def test_neumann_and_binomial_bounds_never_raise():
@@ -344,6 +353,14 @@ def test_neumann_and_binomial_bounds_never_raise():
         assert neumann_bound(1.0, 1e300, order) >= 0.0
         bounds = binomial_bounds(1e-150, 1e150, order)
         assert bounds.tn_bound == bounds.reconstruction_bound == math.inf
+    # N + 1 past 2^1024 is no float; the bounds still take their N -> inf
+    # value: 0.0 below ratio one, inf above it and the constant at one.
+    for order in LARGE_ORDERS:
+        assert neumann_bound(1.0, 2.0, order) == 0.0
+        assert neumann_bound(1e-150, 1e150, order) == pytest.approx(1.0, rel=1e-12)
+        assert binomial_bounds(1.0, 2.0, order) == (0.0, 0.0, True)
+        assert binomial_bounds(1.0, 10.0, order) == (math.inf, math.inf, False)
+        assert binomial_bounds(1.0, 3.0, order) == binomial_bounds(1.0, 3.0, 10**9)
 
 
 def test_log_bound_values_and_decay():

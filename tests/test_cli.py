@@ -433,13 +433,15 @@ def test_perturb_near_the_largest_float(scheme, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_perturb_refuses_a_non_frame(scheme, tmp_path, capsys):
+def test_perturb_refuses_a_non_frame(scheme, rank_deficient_file, tmp_path, capsys):
     # kappa(S) = 1e14 is past the documented 1e12 limit, whatever the bounds.
+    # A singular S is refused by the same rule, not for its lambda_min = 0.
     path = tmp_path / "ill.json"
     path.write_text(frame_to_json(Frame(2, np.array([[1.0, 0.0], [0.0, 1e-7]]))), encoding="utf-8")
-    code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", scheme])
-    assert code == 1 and out == ""
-    assert err == "error: not a frame: bounds are undefined\n"
+    for frame_file in (str(path), rank_deficient_file):
+        code, out, err = run_cli(capsys, ["perturb", frame_file, "--scheme", scheme])
+        assert code == 1 and out == ""
+        assert err == "error: not a frame: bounds are undefined\n"
 
 
 def test_declared_bounds_are_checked_relative_to_the_spectrum(tmp_path, capsys):

@@ -187,7 +187,9 @@ def test_bound_rule_slack_is_the_factorization_error():
 
 def test_power_families_reload_through_the_bound_rule():
     # Every family alpha_frame stamps reads back, up to kappa = 1e12; the worst
-    # gap at each end is printed as a share of that end's slack.
+    # gap at each end is printed as a share of that end's slack. As perturb does
+    # with an alpha or dual output, every scheme whose bound converges on the
+    # stamped bounds then runs on the reloaded family, and holds its bound.
     rng = np.random.default_rng(131)
     u, worst = 2.0**-53, [0.0, 0.0]
     for _ in range(120):
@@ -196,7 +198,11 @@ def test_power_families_reload_through_the_bound_rule():
         family = alpha_frame(frame, float(rng.choice([-1.0, -0.25, 0.0])))
         if not diagnostics(family).is_frame:
             continue
-        lower, upper = frame_from_dict(json.loads(frame_to_json(family))).declared_bounds
+        reloaded = frame_from_dict(json.loads(frame_to_json(family)))
+        lower, upper = reloaded.declared_bounds
+        for scheme in Scheme:
+            if scheme is not Scheme.BINOMIAL_HALF or binomial_bounds(lower, upper, 0).convergent:
+                assert run_convergence(reloaded, scheme, lower, upper, 40, 32, 0).passed
         lam_min, lam_max = optimal_bounds(Frame(dim, family.vectors))
         eps = _svd_error(2 * dim)
         spread = eps * math.sqrt(lam_max / lam_min)
@@ -649,6 +655,7 @@ COUNT_ENTRY_POINTS = {
     "proposition1_check-seed": ("seed", lambda n: proposition1_check(demo_frame_2d(), -0.5, 4, n)),
     "GaborParams": ("mod_order", lambda n: GaborParams(p0=1.0, q0=4.0, mod_order=n)),
     "gabor_probe_signals": ("count", lambda n: gabor_probe_signals(demo_gabor_params(), count=n)),
+    "gabor_probe_signals-seed": ("seed", lambda n: gabor_probe_signals(demo_gabor_params(), seed=n)),
 }
 
 
