@@ -14,8 +14,9 @@ root) of the frame operator S given declared bounds A <= B:
   makes large B/A tractable.
 
 Every scheme is paired with its analytical bound and with a convergence
-harness that measures the worst reconstruction error over seeded probes and
-checks it against the bound.
+harness that measures the worst reconstruction error over seeded probes,
+through the scheme's error polynomial on the spectrum of S, and checks it
+against the bound.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def _exponential_tail(lower: float, upper: float, order: int, ratio_power: float
     the generator, summed in logs so that it underflows to 0.0 and overflows
     to inf instead of raising; past 1e300 an order gives the N -> inf value."""
     lower, upper = _checked_bounds(lower, upper)
-    terms, log_ratio = _terms(order), math.log(upper / lower)
+    ratio, terms = upper / lower, _terms(order)
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(upper) - math.log(lower)
     return _exp(ratio_power * log_ratio + terms * _log(0.5 * log_ratio) - math.lgamma(terms + 1))
 
 
@@ -285,8 +287,10 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame,
     """How far rounding can move a measured order-N reconstruction error of
     ``frame``, to first order in u = 2^-53, charging gamma_k = k u/(1 - k u) in
     norm to each length-k inner product (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator;
-    derived for dense products, it also bounds the series on S's eigenvalues, which rounds less.
+    Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator.
+    It was derived for the dense family and product; the series on S's eigenvalues
+    rounds less, so its terms, the dim and count ones included, still bound the
+    spectral measurement until they are re-derived for it.
 
     The family is s P(G) V, P the series in the generator G and ||V||^2 <= B.
     P's majorant M = sum |c_k| ||G||^k is (1-q)^power for the Neumann generator
@@ -334,15 +338,19 @@ def _family(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int
     return Frame(frame.dim, rule.scale(lower, upper) * acc)
 
 
+def _spectral_series(rule: _Rule, lower: float, upper: float, lam: np.ndarray, order: int) -> Iterator[np.ndarray]:
+    """The partial sums P_N of a rule's series on the eigenvalues ``lam`` of S,
+    for N = 0..order."""
+    return _series(np.diag(rule.generator(lower, upper)(lam)), rule.weight, np.ones_like(lam), order)
+
+
 def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> float:
     """Spectral norm of the operator a scheme's series sums to, S^power / scale,
     minus its order-N truncation. Both are functions of S, so this is their
     largest gap on S's eigenvalues, where the series runs on a diagonal."""
-    order = _check_count("order", order)
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     rule, lam = _RULES[scheme], frame_spectrum(frame).eigenvalues
-    op = np.diag(rule.generator(lower, upper)(lam))
-    for acc in _series(op, rule.weight, np.ones_like(lam), order):
+    for acc in _spectral_series(rule, lower, upper, lam, _check_count("order", order)):
         pass
     return float(np.max(np.abs(lam**rule.power / rule.scale(lower, upper) - acc)))
 
@@ -358,11 +366,14 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Measure worst reconstruction error against the analytical bound.
 
-    Probes are ``samples`` seeded unit vectors plus every eigenvector of the
-    frame operator. Neumann and Logarithmic reconstruct with exact analysis
-    coefficients and approximate duals; BinomialHalf uses the approximate
-    tight family on both sides. BinomialHalf refuses bounds with B >= 3A,
-    where its error bound does not converge.
+    Each order is measured through its error polynomial in S's eigenbasis,
+    not by building the family: the order-N family is s P_N(S) phi_i, so its
+    reconstruction error operator is E_N(S), and a probe's error is the norm of
+    E_N(lam) times its coordinates in S's eigenvectors. The probes are
+    ``samples`` seeded unit vectors plus every eigenvector of the frame
+    operator. Neumann and Logarithmic pair the approximate dual with the frame;
+    BinomialHalf pairs the approximate tight family with itself. BinomialHalf
+    refuses bounds with B >= 3A, where its error bound does not converge.
     """
     scheme = Scheme(scheme)
     rule = _RULES[scheme]
@@ -375,16 +386,15 @@ def run_convergence(
         )
 
     probes = _probes(frame, samples, seed)
-    probe_norms = np.linalg.norm(probes, axis=0)
-    exact_coeffs = frame.vectors @ probes
-    scale = rule.scale(lower, upper)
-    rows = []
-    op = spectral_function(frame_spectrum(frame), rule.generator(lower, upper))
-    for order, acc in enumerate(_series(op, rule.weight, frame.vectors, n_max)):
-        family = scale * acc
-        # The tight family S^(-1/2) phi_i is its own partner; a dual pairs with the frame.
-        coeffs = family @ probes if rule.power == -0.5 else exact_coeffs
-        errors = np.linalg.norm(family.T @ coeffs - probes, axis=0) / probe_norms
+    spectrum, pairing, rows = frame_spectrum(frame), -1.0 / rule.power, []
+    coords = spectrum.eigenvectors.T @ (probes / np.linalg.norm(probes, axis=0))
+    # s P_N(S) approximates S^power, so a dual pairs with the frame (k = 1) and
+    # the tight family with itself (k = 2): k = -1/power, and
+    # E_N(lam) = 1 - lam s^k P_N(lam)^k. lam s^k is about lam / mean(A, B),
+    # which neither overflows nor underflows where s alone would.
+    gain = spectrum.eigenvalues * rule.scale(lower, upper) ** pairing
+    for order, acc in enumerate(_spectral_series(rule, lower, upper, spectrum.eigenvalues, n_max)):
+        errors = np.linalg.norm((1.0 - gain * acc**pairing)[:, None] * coords, axis=0)
         floor = _floor(scheme, lower, upper, order, frame, frame.count)
         rows.append(ConvergenceRow(order, float(np.max(errors)), rule.bound(lower, upper, order), floor))
 

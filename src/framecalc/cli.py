@@ -4,8 +4,9 @@ Each subcommand is declared once, in ``_build_parser``: its options, its help
 line (``framecalc --help`` lists them) and its handler. Every result goes to
 stdout, every diagnostic to stderr; redirect stdout to keep a result in a
 file. Each option has one spelling, its full name: no prefix of it is
-accepted. ``perturb`` measures each order on 32 seeded random probes plus
-every eigenvector of the frame operator.
+accepted. ``perturb`` measures each order through the scheme's error
+polynomial in the eigenbasis of the frame operator, on 32 seeded random
+probes plus every eigenvector; its ``--N-max`` is at most ``N_MAX_CEILING``.
 
 Exit codes: 0 on success, 1 on a mathematical failure (not a frame, a bound
 violated, a claim failed, a window outside the 1% tightness gate), 2 on
@@ -28,6 +29,11 @@ import sys
 from .contract import NotAFrameError, Scheme, _format_float, _json_object, frame_to_json, load_frame
 
 __all__ = ["main", "run"]
+
+# The largest ``perturb --N-max``. The CSV has one row per order, so an order
+# far past any bound's convergence only writes rows until the process is killed;
+# 100,000 orders of a 64 x 32 frame take a few seconds.
+N_MAX_CEILING = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str.lower,
         help="approximation scheme",
     )
-    perturb.add_argument("--N-max", type=int, default=10, help="largest series order")
+    perturb.add_argument("--N-max", type=int, default=10, help=f"largest series order, at most {N_MAX_CEILING}")
     perturb.add_argument("--seed", type=int, default=0, help="probe generator seed")
     perturb.set_defaults(run=_cmd_perturb)
 
@@ -106,6 +112,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    if args.N_max > N_MAX_CEILING:
+        raise ValueError(f"--N-max must be at most {N_MAX_CEILING}, got {args.N_max}")
     frame = load_frame(args.frame)
     from .approx import run_convergence, write_csv
     from .frames import _frame_bounds

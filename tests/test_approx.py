@@ -333,6 +333,10 @@ def test_log_and_zn_bounds_never_raise():
         for bound in (log_bound, zn_bound):
             assert bound(1e-150, 1e150, order) >= 0.0
     assert log_bound(1e-150, 1e150, 345) == math.inf
+    # B/A past the float range still has a finite log, so a high order is 0.0.
+    for lower, upper in ((1e-300, 1e300), (1e-160, 1e160)):
+        for bound in (log_bound, zn_bound):
+            assert bound(lower, upper, 10**6) == 0.0
     # Past the float range of N + 1 (and of lgamma, from N near 2.5e305) each
     # bound is its N -> inf value.
     for order in LARGE_ORDERS:
@@ -560,6 +564,41 @@ def test_error_polynomials_on_the_spectrum_give_the_measured_errors():
                     norm = TRUNCATION_NORMS[scheme](frame, lower, upper, row.order)
                     floor = _floor(scheme, lower, upper, row.order, frame, 0)
                     assert abs(norm - gap) <= floor, (scheme, frame.dim, row.order)
+
+
+DENSE_FAMILIES = {Scheme.NEUMANN: neumann_dual, Scheme.BINOMIAL_HALF: binomial_tight, Scheme.LOGARITHMIC: log_dual}
+
+
+def dense_error(frame, scheme, lower, upper, order):
+    """The worst reconstruction error of the scheme's dense order-N family on
+    the eigenvectors of S: a dual pairs with the frame, the tight family with
+    itself."""
+    family = DENSE_FAMILIES[scheme](frame, lower, upper, order).vectors
+    partner = family if scheme is Scheme.BINOMIAL_HALF else frame.vectors
+    probes = frame_spectrum(frame).eigenvectors
+    return float(np.max(np.linalg.norm(family.T @ (partner @ probes) - probes, axis=0)))
+
+
+def test_dense_families_reconstruct_with_the_measured_errors():
+    # run_convergence reads each order's error off the error polynomial on S's
+    # spectrum; the families that neumann_dual, log_dual and binomial_tight build
+    # are dense, and on S's eigenvectors they reconstruct with that error, up to
+    # the row's floor. A defect in one row of a family shows here.
+    rng = np.random.default_rng(13)
+    ratios = {
+        Scheme.NEUMANN: lambda: 10.0 ** rng.uniform(0.1, 3.0),
+        Scheme.BINOMIAL_HALF: lambda: rng.uniform(1.05, 2.9),
+        Scheme.LOGARITHMIC: lambda: 10.0 ** rng.uniform(0.5, 8.0),
+    }
+    for scheme, draw_ratio in ratios.items():
+        worst = 0.0
+        for frame in [demo_frame_2d(), demo_frame_3d()] + [wide_frame(rng, draw_ratio()) for _ in range(4)]:
+            lower, upper = optimal_bounds(frame)
+            for row in run_convergence(frame, scheme, lower, upper, 40, 32, 11).rows:
+                gap = abs(dense_error(frame, scheme, lower, upper, row.order) - row.measured_error)
+                assert gap <= row.floor, (scheme, frame.dim, row.order, gap / row.floor)
+                worst = max(worst, gap / row.floor)
+        print(f"{scheme.value}: worst |dense - measured| / floor {worst:.3f}")
 
 
 def caught_orders(monkeypatch, frame, scheme, rule):

@@ -344,21 +344,38 @@ def test_closed_form_mutant_fails_exactly_its_claims(monkeypatch, capsys):
     [["analyze"], ["alpha", "--alpha", "0.5"], ["dual"], ["perturb", "--scheme", "neumann"]],
 )
 def test_near_overflow_entries_exit_two(argv, tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    rows = np.random.default_rng(97).uniform(0.5, 1.0, (4, 3)) * 1e308
+    # Entries of 1e155 square past the largest float, as 1e308 ones do.
+    for scale in (1e308, 1e155):
+        path = tmp_path / "huge.json"
+        rows = np.random.default_rng(97).uniform(0.5, 1.0, (4, 3)) * scale
+        path.write_text(json.dumps({"dim": 3, "vectors": rows.tolist()}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, [argv[0], str(path)] + argv[1:])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows float64" in err
+
+
+def test_entries_near_the_underflow_edge_form_a_frame(tmp_path, capsys):
+    # Entries of 1e-154 square to about the smallest normal float, and the
+    # frame operator's trace stays normal: the file is a frame.
+    path = tmp_path / "tiny.json"
+    rows = np.random.default_rng(97).uniform(0.5, 1.0, (4, 3)) * 1e-154
     path.write_text(json.dumps({"dim": 3, "vectors": rows.tolist()}), encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, err = run_cli(capsys, [argv[0], str(path)] + argv[1:])
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "overflows float64" in err
+        code, out, err = run_cli(capsys, ["analyze", str(path)])
+        assert (code, err) == (0, "") and '"is_frame": true' in out
+        code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", "neumann"])
+        assert (code, err) == (0, "") and len(list(csv.DictReader(out.splitlines()))) == 11
 
 
-@pytest.mark.parametrize("alpha", ["1000", "-100000", "1e308"])
+@pytest.mark.parametrize("alpha", ["1000", "-100000", "1e308", "inf", "nan", "-inf"])
 def test_alpha_out_of_float_range_exits_two(alpha, tmp_path, capsys):
     # The family's largest eigenvalue overflows, its smallest underflows to 0
-    # (which would stamp it with bounds [0, B]), or the power 2 alpha + 1 is inf.
+    # (which would stamp it with bounds [0, B]), the power 2 alpha + 1 is
+    # infinite, or it is nan.
     path = tmp_path / "demo3.json"
     path.write_text(frame_to_json(demo_frame_3d()), encoding="utf-8")
     with warnings.catch_warnings():
@@ -398,11 +415,25 @@ def test_non_numeric_entries_exit_two(tmp_path, capsys):
             '{"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]], "bounds": [1.0, Infinity]}',
             "bounds must satisfy 0 < A <= B, got (1.0, inf)",
         ),
+        ('{"dim": 2, "vectors": [["1", 0.0], [0.0, 1.0]]}', "every vector must be a list of 2 numbers"),
+        ('{"dim": 2, "vectors": [[[1.0], 0.0], [0.0, 1.0]]}', "every vector must be a list of 2 numbers"),
+        ('{"dim": 2, "vectors": [[true, 0.0], [0.0, 1.0]]}', "every vector must be a list of 2 numbers"),
+        ('{"dim": 2, "vectors": [[1' + "0" * 400 + ', 0], [0, 1]]}', "int too large to convert to float"),
+        (
+            '{"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]], "bounds": [1.0]}',
+            "'bounds' must be a two-element list of numbers [A, B]",
+        ),
+        ('{"dim": 2, "vectors": [[]]}', "every vector must be a list of 2 numbers"),
+        ('[{"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}]', "frame file must contain a JSON object"),
     ],
-    ids=["nan-vector", "infinite-bound"],
+    ids=[
+        "nan-vector", "infinite-bound", "string-entry", "nested-list", "bool-entry", "integer-1e400",
+        "one-bound", "empty-vector", "top-level-list",
+    ],  # fmt: skip
 )
 def test_json_nan_and_infinity_literals_exit_two(text, message, argv, tmp_path, capsys):
-    # Python's json module reads the literals NaN and Infinity as floats.
+    # Python's json module reads the literals NaN and Infinity as floats; the
+    # rest of the table is file content that the schema or the float range refuses.
     path = tmp_path / "literal.json"
     path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
@@ -649,14 +680,23 @@ def test_each_subcommand_imports_only_the_layers_it_runs(argv, modules, frame_fi
         ["analyze", "ARRAY"],
         ["perturb", "NO_VECTORS", "--scheme", "neumann"],
         ["perturb", "FRAME", "--scheme", "bogus"],
+        ["perturb", "FRAME", "--scheme", "neumann", "--N-max", str(cli.N_MAX_CEILING + 1)],
+        ["perturb", "FRAME", "--scheme", "neumann", "--N-max", str(10**400)],
     ],
-    ids=["malformed", "bool-dim", "deep", "array", "no-vectors", "usage"],
+    ids=["malformed", "bool-dim", "deep", "array", "no-vectors", "usage", "n-max-past-ceiling", "n-max-1e400"],
 )
 def test_refused_input_loads_no_layer_and_not_numpy(argv, frame_file, tmp_path):
     child = _importtime_child(argv, frame_file, tmp_path)
     assert child.returncode == 2 and child.stdout == ""
     assert _loaded_modules(child.stderr) == EDGE
     assert _loaded_modules(child.stderr, "numpy") == set()
+
+
+@pytest.mark.parametrize("n_max", [cli.N_MAX_CEILING + 1, 10**400], ids=["ceiling+1", "1e400"])
+def test_perturb_refuses_an_order_past_the_ceiling(n_max, frame_file, capsys):
+    # One row per order: past the ceiling the table would run until killed.
+    code, out, err = run_cli(capsys, ["perturb", frame_file, "--scheme", "neumann", "--N-max", str(n_max)])
+    assert (code, out, err) == (2, "", f"error: --N-max must be at most 100000, got {n_max}\n")
 
 
 def test_importing_the_package_loads_no_layer_and_not_numpy():
