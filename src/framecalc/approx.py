@@ -13,10 +13,10 @@ root) of the frame operator S given declared bounds A <= B:
   the exponential series gives factorially convergent bounds, which is what
   makes large B/A tractable.
 
-Every scheme is paired with its analytical bound and with a convergence
-harness that measures the worst reconstruction error over seeded probes,
-through the scheme's error polynomial on the spectrum of S, and checks it
-against the bound.
+Each series is a polynomial P_N in S and runs only on S's eigenvalues. Every
+scheme is paired with its analytical bound and with a convergence harness that
+measures the worst reconstruction error over seeded probes, through the
+scheme's error polynomial on the spectrum of S, and checks it against the bound.
 """
 
 from __future__ import annotations
@@ -252,10 +252,9 @@ def log_remainder_norm(frame: Frame, lower: float, upper: float, order: int) -> 
 
 
 class _Rule(NamedTuple):
-    """Everything that sets a scheme apart. Its series sums t_k = t_(k-1) @ op
-    * weight(k) with op = generator(A, B) applied to the frame operator S, and
-    scale * series approximates S^power phi_i, with reconstruction error at
-    most bound(A, B, N)."""
+    """Everything that sets a scheme apart. Its series sums t_k = t_(k-1) g weight(k)
+    on S's eigenvalues, g = generator(A, B) of them, and scale * series(S) phi_i
+    approximates S^power phi_i with reconstruction error at most bound(A, B, N)."""
 
     generator: Callable[[float, float], Callable[[np.ndarray], np.ndarray]]
     weight: Callable[[int], float]
@@ -288,9 +287,9 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame,
     ``frame``, to first order in u = 2^-53, charging gamma_k = k u/(1 - k u) in
     norm to each length-k inner product (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator.
-    It was derived for the dense family and product; the series on S's eigenvalues
-    rounds less, so its terms, the dim and count ones included, still bound the
-    spectral measurement until they are re-derived for it.
+    Its terms were derived for a series of dense products, one per order; ``_series``
+    runs on S's eigenvalues and rounds less, so they still bound the measured errors
+    and the families (tier-1 checks both) until they are re-derived.
 
     The family is s P(G) V, P the series in the generator G and ||V||^2 <= B.
     P's majorant M = sum |c_k| ||G||^k is (1-q)^power for the Neumann generator
@@ -314,43 +313,37 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame,
     return ratio * u * (family + backward + (dim + count) + 2 * (2 * dim + 4))
 
 
-def _series(
-    op: np.ndarray, weight: Callable[[int], float], start: np.ndarray, order: int
-) -> Iterator[np.ndarray]:
-    """Yield the partial sums t_0 + ... + t_N for N = 0..order, where t_0 = start
-    and t_k = t_(k-1) @ op * weight(k); one matrix product per order."""
-    term = acc = start
+def _series(rule: _Rule, lower: float, upper: float, lam: np.ndarray, order: int) -> Iterator[np.ndarray]:
+    """Yield the partial sums P_N, N = 0..order, of a rule's series on S's eigenvalues
+    ``lam``, elementwise: t_0 = 1 and t_k = t_(k-1) g weight(k), g the generator of lam."""
+    g = rule.generator(lower, upper)(lam)
+    term = acc = np.ones_like(lam)
     yield acc
     for k in range(1, order + 1):
-        term = (term @ op) * weight(k)
+        term = (term * g) * rule.weight(k)
         acc = acc + term
         yield acc
 
 
 def _family(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> Frame:
-    """The scheme's order-N approximate family (dual, or tight for BinomialHalf)."""
+    """The scheme's order-N family (dual, or tight for BinomialHalf), s P_N(S) V,
+    applied once as s (V + V (P_N(S) - I)), which is exactly s V at order 0."""
     order = _check_count("order", order)
     lower, upper = _checked_frame_bounds(frame, lower, upper)
-    rule = _RULES[scheme]
-    op = spectral_function(frame_spectrum(frame), rule.generator(lower, upper))
-    for acc in _series(op, rule.weight, frame.vectors, order):
+    rule, spectrum = _RULES[scheme], frame_spectrum(frame)
+    for acc in _series(rule, lower, upper, spectrum.eigenvalues, order):
         pass
-    return Frame(frame.dim, rule.scale(lower, upper) * acc)
-
-
-def _spectral_series(rule: _Rule, lower: float, upper: float, lam: np.ndarray, order: int) -> Iterator[np.ndarray]:
-    """The partial sums P_N of a rule's series on the eigenvalues ``lam`` of S,
-    for N = 0..order."""
-    return _series(np.diag(rule.generator(lower, upper)(lam)), rule.weight, np.ones_like(lam), order)
+    correction = frame.vectors @ spectral_function(spectrum, lambda lam: acc - 1.0)
+    return Frame(frame.dim, rule.scale(lower, upper) * (frame.vectors + correction))
 
 
 def _truncation_norm(frame: Frame, scheme: Scheme, lower: float, upper: float, order: int) -> float:
     """Spectral norm of the operator a scheme's series sums to, S^power / scale,
     minus its order-N truncation. Both are functions of S, so this is their
-    largest gap on S's eigenvalues, where the series runs on a diagonal."""
+    largest gap on S's eigenvalues, where the series runs."""
     lower, upper = _checked_frame_bounds(frame, lower, upper)
     rule, lam = _RULES[scheme], frame_spectrum(frame).eigenvalues
-    for acc in _spectral_series(rule, lower, upper, lam, _check_count("order", order)):
+    for acc in _series(rule, lower, upper, lam, _check_count("order", order)):
         pass
     return float(np.max(np.abs(lam**rule.power / rule.scale(lower, upper) - acc)))
 
@@ -393,7 +386,7 @@ def run_convergence(
     # E_N(lam) = 1 - lam s^k P_N(lam)^k. lam s^k is about lam / mean(A, B),
     # which neither overflows nor underflows where s alone would.
     gain = spectrum.eigenvalues * rule.scale(lower, upper) ** pairing
-    for order, acc in enumerate(_spectral_series(rule, lower, upper, spectrum.eigenvalues, n_max)):
+    for order, acc in enumerate(_series(rule, lower, upper, spectrum.eigenvalues, n_max)):
         errors = np.linalg.norm((1.0 - gain * acc**pairing)[:, None] * coords, axis=0)
         floor = _floor(scheme, lower, upper, order, frame, frame.count)
         rows.append(ConvergenceRow(order, float(np.max(errors)), rule.bound(lower, upper, order), floor))

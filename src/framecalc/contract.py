@@ -11,6 +11,7 @@ from here, as it does those of every layer.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from enum import Enum
 
@@ -87,18 +88,20 @@ def _format_float(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def _json_value(value) -> str:
+def _json_value(key: str, value) -> str:
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+        return "[" + ", ".join(_json_value(key, v) for v in value) + "]"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{key!r} is {float(value)!r}, which JSON cannot represent")
         return _format_float(value)
     return json.dumps(value)
 
 
 def _json_object(pairs) -> str:
-    """A JSON object with one ``key: value`` pair per line; floats carry 17
-    significant digits and lists stay on their key's line."""
-    body = ",\n".join(f'  "{key}": {_json_value(value)}' for key, value in pairs)
+    """A JSON object with one ``key: value`` pair per line; floats carry 17 significant
+    digits, lists stay on their key's line, and a ``ValueError`` names a non-finite one."""
+    body = ",\n".join(f'  "{key}": {_json_value(key, value)}' for key, value in pairs)
     return "{\n" + body + "\n}\n"
 
 

@@ -234,9 +234,12 @@ def alpha_frame(frame: Frame, alpha: float) -> Frame:
     A ``ValueError``, raised once the powers are formed but before the family
     is, refuses an exponent that takes an extreme eigenvalue of the family's
     frame operator (the largest only for a non-frame) outside the positive
-    normal floats.
+    normal floats; a non-finite ``alpha``, where 1^nan = 1, is refused first.
     """
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        moved = f"the frame-operator eigenvalues to {'nan' if math.isnan(alpha) else '0.0 or inf'}"
+        raise ValueError(f"alpha = {alpha!r} is not finite: it takes {moved}, outside the positive normal floats")
     if alpha < 0.0:
         _frame_bounds(frame, "fractional negative power undefined")
     is_frame = diagnostics(frame).is_frame

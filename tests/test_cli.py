@@ -357,35 +357,74 @@ def test_near_overflow_entries_exit_two(argv, tmp_path, capsys):
         assert "overflows float64" in err
 
 
-def test_entries_near_the_underflow_edge_form_a_frame(tmp_path, capsys):
-    # Entries of 1e-154 square to about the smallest normal float, and the
-    # frame operator's trace stays normal: the file is a frame.
+def tiny_frame_file(tmp_path):
+    """A 4 x 3 frame with entries of about 1e-154, whose smallest eigenvalue,
+    about 2.9e-310, is subnormal."""
     path = tmp_path / "tiny.json"
     rows = np.random.default_rng(97).uniform(0.5, 1.0, (4, 3)) * 1e-154
     path.write_text(json.dumps({"dim": 3, "vectors": rows.tolist()}), encoding="utf-8")
+    return str(path)
+
+
+def test_entries_near_the_underflow_edge_form_a_frame(tmp_path, capsys):
+    # Entries of 1e-154 square to about the smallest normal float, and the
+    # frame operator's trace stays normal: the file is a frame. Its inverse
+    # norm, 1/lambda_min, overflows to inf, which JSON cannot hold, so
+    # `analyze` exits 2 with one error line and writes nothing.
+    path = tiny_frame_file(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["analyze", str(path)])
-        assert (code, err) == (0, "") and '"is_frame": true' in out
-        code, out, err = run_cli(capsys, ["perturb", str(path), "--scheme", "neumann"])
+        code, out, err = run_cli(capsys, ["analyze", path])
+        assert (code, out) == (2, "")
+        assert err == "error: 'inverse_norm' is inf, which JSON cannot represent\n"
+        code, out, err = run_cli(capsys, ["perturb", path, "--scheme", "neumann"])
         assert (code, err) == (0, "") and len(list(csv.DictReader(out.splitlines()))) == 11
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def test_json_output_is_json(tmp_path, capsys):
+    # Whatever `analyze`, `alpha` and `gabor` write parses as strict JSON, with
+    # no NaN or Infinity literal; a run that cannot write JSON exits 2 and
+    # writes nothing.
+    paths = [tiny_frame_file(tmp_path)]
+    for name, frame in [("demo2", demo_frame_2d()), ("demo3", demo_frame_3d())]:
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(frame_to_json(frame), encoding="utf-8")
+    runs = [["gabor"], ["gabor", "--M", "140"]]
+    for path in paths:
+        runs.append(["analyze", path])
+        runs.extend(["alpha", path, "--alpha", alpha] for alpha in ("-1", "-0.5", "0.5", "2"))
+    for argv in runs:
+        code, out, err = run_cli(capsys, argv)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1, argv
+        else:
+            assert isinstance(json.loads(out, parse_constant=refuse_constant), dict), argv
 
 
 @pytest.mark.parametrize("alpha", ["1000", "-100000", "1e308", "inf", "nan", "-inf"])
 def test_alpha_out_of_float_range_exits_two(alpha, tmp_path, capsys):
     # The family's largest eigenvalue overflows, its smallest underflows to 0
     # (which would stamp it with bounds [0, B]), the power 2 alpha + 1 is
-    # infinite, or it is nan.
-    path = tmp_path / "demo3.json"
-    path.write_text(frame_to_json(demo_frame_3d()), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["alpha", str(path), "--alpha", alpha])
-    assert code == 2 and out == ""
-    assert err.startswith("error: alpha = ") and err.count("\n") == 1
-    assert err.endswith("outside the positive normal floats\n")
-    child = _framecalc_child("alpha", str(path), "--alpha", alpha)
-    assert (child.returncode, child.stdout, child.stderr) == (2, "", err)
+    # infinite, or it is nan. A non-finite alpha is refused on a frame whose
+    # eigenvalues are all 1 as well, where IEEE powers give 1^nan = 1^inf = 1.
+    frames = [("demo3", demo_frame_3d())]
+    if not math.isfinite(float(alpha)):
+        frames.append(("identity", Frame(2, np.eye(2))))
+    for name, frame in frames:
+        path = tmp_path / f"{name}.json"
+        path.write_text(frame_to_json(frame), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["alpha", str(path), "--alpha", alpha])
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha = ") and err.count("\n") == 1
+        assert err.endswith("outside the positive normal floats\n")
+        child = _framecalc_child("alpha", str(path), "--alpha", alpha)
+        assert (child.returncode, child.stdout, child.stderr) == (2, "", err)
 
 
 def test_perturb_logarithmic_high_order(frame_file, capsys):

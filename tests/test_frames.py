@@ -133,6 +133,7 @@ SVDS_PER_CALL = {
     "run_convergence": (1, lambda f, a, b: run_convergence(f, Scheme.NEUMANN, a, b, 5, 8, 0)),
     "neumann_dual": (1, lambda f, a, b: neumann_dual(f, a, b, 3)),
     "log_dual": (1, lambda f, a, b: log_dual(f, a, b, 3)),
+    "binomial_tight": (1, lambda f, a, b: binomial_tight(f, a, b, 3)),
     "log_exact_inverse": (1, lambda f, a, b: log_exact_inverse(f, a, b)),
     "commuting_scale": (1, lambda f, a, b: commuting_scale(f, lambda lam: lam + 1.0)),
     "diagnostics_of_alpha_frame": (1, lambda f, a, b: diagnostics(alpha_frame(f, 0.5))),
