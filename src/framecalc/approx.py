@@ -282,35 +282,37 @@ _RULES = {
 }
 
 
-def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame, count: int) -> float:
+def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame) -> float:
     """How far rounding can move a measured order-N reconstruction error of
     ``frame``, to first order in u = 2^-53, charging gamma_k = k u/(1 - k u) in
-    norm to each length-k inner product (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3). ``count = 0`` drops the product for a truncation operator.
-    Its terms were derived for a series of dense products, one per order; ``_series``
-    runs on S's eigenvalues and rounds less, so they still bound the measured errors
-    and the families (tier-1 checks both) until they are re-derived.
+    norm to each length-k sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3). It counts the elementwise arithmetic on S's eigenvalues
+    lam that ``run_convergence`` runs.
 
-    The family is s P(G) V, P the series in the generator G and ||V||^2 <= B.
-    P's majorant M = sum |c_k| ||G||^k is (1-q)^power for the Neumann generator
-    (q = (B-A)/(B+A)) and e^r for the logarithmic one (r = ln(B/A)/2), so s M
-    is 1/A, or 1/sqrt(A) for BinomialHalf, whose family pairs with itself. An
-    error e relative to s M ||V|| moves the reconstruction by at most 2 (B/A) e:
-    - term k holds k generators Q diag(g) Q^T (dim, 3 in g, 1 to scale Q, 1 to
-      symmetrize) and k products term @ op (dim, and 2 for the weight), so the
-      sum holds 2 dim + 7 times M's mean order, -power q/(1-q) or r, at most N;
-    - adding the N terms, gamma_N; the scale, 3 roundings to form and 1 to apply.
-    A relative backward error in S moves it by at most B/A: the SVD's, twice
-    ``linalg._svd_error`` of the frame's rows, and g's 3 roundings of lambda. So
-    do the coefficients (dim), the product over count terms (count) and the
-    residual's norm over the probe's (2 dim + 4 roundings of at most
-    B/A + 1 <= 2 B/A).
+    A probe's error is ||E_N(lam) c||, c its coordinates in S's eigenvectors and
+    E_N = 1 - lam s^k P_N^k with k = -1/power. P's majorant M = sum |a_j| |g|^j is
+    (1-q)^power for the Neumann generator (q = (B-A)/(B+A)) and e^r for the
+    logarithmic one (r = ln(B/A)/2), so lam s^k M^k <= B/A, |E_N| <= B/A, and an
+    error e in P relative to M moves E_N by at most k (B/A) e <= 2 (B/A) e:
+    - term j holds j factors g, each with g's own roundings relative to max |g|
+      (1 for 1 - s lam, 2 for the two logs and their sum) and 3 more: the product
+      with g, weight(j)'s rounding and the product with it. So the sum holds 5
+      times M's mean order, -power q/(1-q) or r, at most N;
+    - adding the N terms, gamma_N; forming s^k lam and its product with P^k, 4.
+    A relative backward error in S moves E_N by at most B/A: the SVD's, twice
+    ``linalg._svd_error`` of the frame's rows, and g's 3 roundings of lam. A
+    rounding of a quantity no larger than |E_N| <= B/A costs 1: the coordinates,
+    a length-dim product with the eigenvectors (dim), and the error's norm over
+    the probe's, with 1 - x, the product with c, two length-dim sums of squares,
+    their roots and the division (2 dim + 5). A truncation norm,
+    max |lam^power / s - P_N| over values no larger than sqrt(B/A), has no
+    coordinates and 6 roundings besides P_N's, so this floor bounds it too.
     """
     ratio, power, dim, u = upper / lower, _RULES[scheme].power, frame.dim, 2.0**-53
     mean = 0.5 * math.log(ratio) if scheme is Scheme.LOGARITHMIC else power * (1.0 - ratio) / 2.0
-    family = 2 * ((2 * dim + 7) * min(order, mean) + order + 4)
+    series = 2 * (5 * min(order, mean) + order + 4)
     backward = 2 * (_svd_error(frame.count) / u) + 3
-    return ratio * u * (family + backward + (dim + count) + 2 * (2 * dim + 4))
+    return ratio * u * (series + backward + dim + (2 * dim + 5))
 
 
 def _series(rule: _Rule, lower: float, upper: float, lam: np.ndarray, order: int) -> Iterator[np.ndarray]:
@@ -388,7 +390,7 @@ def run_convergence(
     gain = spectrum.eigenvalues * rule.scale(lower, upper) ** pairing
     for order, acc in enumerate(_series(rule, lower, upper, spectrum.eigenvalues, n_max)):
         errors = np.linalg.norm((1.0 - gain * acc**pairing)[:, None] * coords, axis=0)
-        floor = _floor(scheme, lower, upper, order, frame, frame.count)
+        floor = _floor(scheme, lower, upper, order, frame)
         rows.append(ConvergenceRow(order, float(np.max(errors)), rule.bound(lower, upper, order), floor))
 
     return ConvergenceReport(scheme=scheme, lower=lower, upper=upper, rows=tuple(rows))

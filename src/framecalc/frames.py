@@ -286,31 +286,33 @@ def proposition1_check(
 
     Checks A'||f||^2 <= sum_i |<phi_i^(alpha), f>|^2 <= B'||f||^2 on ``samples``
     seeded unit vectors plus every eigenvector of the frame operator, along
-    with the identity sum_i |<phi_i^(alpha), f>|^2 = <S^(2a+1) f, f>.
+    with the identity sum_i |<phi_i^(alpha), f>|^2 = <S^g f, f>, g = 2a + 1,
+    whose right side is read off the spectrum of S as sum_k lam_k^g <w_k, f>^2.
     Violations beyond the tolerance are reported, not raised. It bounds, to
     first order in u = 2^-53, what rounding adds to any violation, in units of
-    B' max ||f||^2: the family U diag(s^g) W^T (g = 2a + 1) and S^g share one
-    SVD, whose U and W are each within eps = ``linalg._svd_error(count)`` of
+    B' max ||f||^2: the family U diag(s^g) W^T and the eigenpairs (s^2, W) share
+    one SVD, whose U and W are each within eps = ``linalg._svd_error(count)`` of
     orthonormal, so kappa does not enter. That gives 4 eps to the bounds (2 eps
     to the identity); charging k u to each length-k product, the family's sums
-    add 4 dim + 2 + count, S^g (fl(s^2)^g against fl(s^g)^2, its forming and
-    pairing) 3 dim + |g| + 5 and ||f||^2 with the stamp dim + 2. Both sums are
-    at most 4 eps + (7 dim + count + |g| + 7) u.
+    add 4 dim + 2 + count, the spectral form 3 dim + |g| + 4 (the coordinates
+    <w_k, f>, counted twice in their squares, the squares and the length-dim sum;
+    fl(s^2)^g against fl(s^g)^2) and ||f||^2 with the stamp dim + 2. Both sums
+    are at most 4 eps + (7 dim + count + |g| + 6) u.
     """
     _frame_bounds(frame, "bounds are undefined")
 
     family = alpha_frame(frame, alpha)
     lower, upper = family.declared_bounds
-    power_op = spectral_function(frame_spectrum(frame), lambda lam: lam ** (2.0 * alpha + 1.0))
+    lam, right = frame_spectrum(frame)
 
     probes = _probes(frame, samples, seed)
     norm_sq = np.sum(probes * probes, axis=0)
     totals = np.sum((family.vectors @ probes) ** 2, axis=0)
-    quadratic = np.sum(probes * (power_op @ probes), axis=0)
+    quadratic = lam ** (2.0 * alpha + 1.0) @ np.square(right.T @ probes)
     max_lower = max(0.0, float(np.max(lower * norm_sq - totals)))
     max_upper = max(0.0, float(np.max(totals - upper * norm_sq)))
     max_identity = float(np.max(np.abs(totals - quadratic)))
-    slack = 4 * _svd_error(frame.count) + (7 * frame.dim + frame.count + abs(2 * alpha + 1) + 7) * 2.0**-53
+    slack = 4 * _svd_error(frame.count) + (7 * frame.dim + frame.count + abs(2 * alpha + 1) + 6) * 2.0**-53
     return BoundCheckReport(
         lower=lower,
         upper=upper,

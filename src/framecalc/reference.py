@@ -186,7 +186,7 @@ def builtin_checks() -> list[CheckResult]:
 
     # The paper's operator-level claims at the declared bounds: S^(-1) equals
     # exp(c R_log)/sqrt(A B), and each truncation operator is within its bound
-    # plus its rounding floor, which takes no product over the frame.
+    # plus its rounding floor.
     lower, upper = frame2.declared_bounds
     inverse_dev = _max_deviation(log_exact_inverse(frame2, lower, upper), _power_operator(2, -1.0))
     record("2d-log-exact-inverse", inverse_dev, 1e-10)
@@ -196,7 +196,7 @@ def builtin_checks() -> list[CheckResult]:
         ("2d-log-truncation-norm", Scheme.LOGARITHMIC, log_remainder_norm,
          lambda n: zn_bound(lower, upper, n)),
     ):
-        floors = [_floor(scheme, lower, upper, n, frame2, 0) for n in range(11)]
+        floors = [_floor(scheme, lower, upper, n, frame2) for n in range(11)]
         rows = [ConvergenceRow(n, norm(frame2, lower, upper, n), bound(n), floors[n]) for n in range(11)]
         worst = max(row.measured_error / row.analytical_bound for row in rows)
         ok = all(row.passed for row in rows)

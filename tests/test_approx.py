@@ -547,7 +547,7 @@ def test_error_polynomials_on_the_spectrum_give_the_measured_errors():
     # The probes include every eigenvector, so the measured error is the
     # largest |1 - gain(lam)| on the spectrum, up to the rounding its row's
     # floor bounds. A truncation norm is the largest gap between lam^power / s
-    # and the series on the spectrum, up to its floor with no product (count 0).
+    # and the series on the spectrum, up to the same floor.
     rng = np.random.default_rng(11)
     ratios = {
         Scheme.NEUMANN: lambda: 10.0 ** rng.uniform(0.1, 3.0),
@@ -562,7 +562,7 @@ def test_error_polynomials_on_the_spectrum_give_the_measured_errors():
                 assert abs(row.measured_error - error) <= row.floor, (scheme, frame.dim, row.order)
                 if scheme in TRUNCATION_NORMS:
                     norm = TRUNCATION_NORMS[scheme](frame, lower, upper, row.order)
-                    floor = _floor(scheme, lower, upper, row.order, frame, 0)
+                    floor = _floor(scheme, lower, upper, row.order, frame)
                     assert abs(norm - gap) <= floor, (scheme, frame.dim, row.order)
 
 

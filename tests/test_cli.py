@@ -427,6 +427,21 @@ def test_alpha_out_of_float_range_exits_two(alpha, tmp_path, capsys):
         assert (child.returncode, child.stdout, child.stderr) == (2, "", err)
 
 
+def test_alpha_at_the_normal_float_edge(tmp_path, capsys):
+    # Exponents at the normal-float edge, and one ulp below -1/2, run without a
+    # warning. The first two give S^(2 alpha + 1) = S to the last bit, so their
+    # output is that of alpha = 0.
+    path = tmp_path / "demo3.json"
+    path.write_text(frame_to_json(demo_frame_3d()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = {alpha: run_cli(capsys, ["alpha", str(path), "--alpha", alpha]) for alpha in (
+            "0", "5e-324", "2.2250738585072014e-308", "-0.5000000000000001")}  # fmt: skip
+    assert runs["0"][0] == 0
+    assert runs["5e-324"] == runs["2.2250738585072014e-308"] == runs["0"]
+    assert runs["-0.5000000000000001"][0::2] == (0, "")
+
+
 def test_perturb_logarithmic_high_order(frame_file, capsys):
     code, out, err = run_cli(
         capsys, ["perturb", frame_file, "--scheme", "logarithmic", "--N-max", "200"]
@@ -464,10 +479,12 @@ def test_non_numeric_entries_exit_two(tmp_path, capsys):
         ),
         ('{"dim": 2, "vectors": [[]]}', "every vector must be a list of 2 numbers"),
         ('[{"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}]', "frame file must contain a JSON object"),
+        ('{"vectors": [[1, 0], [0, 1]]}', "frame file is missing fields: ['dim']"),
+        ('{"dim": 2, "vectors": [[1, 0], [0, 1]], "bound": [1, 2]}', "frame file has unknown fields: ['bound']"),
     ],
     ids=[
         "nan-vector", "infinite-bound", "string-entry", "nested-list", "bool-entry", "integer-1e400",
-        "one-bound", "empty-vector", "top-level-list",
+        "one-bound", "empty-vector", "top-level-list", "missing-field", "unknown-field",
     ],  # fmt: skip
 )
 def test_json_nan_and_infinity_literals_exit_two(text, message, argv, tmp_path, capsys):
@@ -676,13 +693,16 @@ def _deep_frame_file(tmp_path):
 
 def _importtime_child(argv, frame_file, tmp_path):
     # A child under ``-X importtime``, with FRAME, MALFORMED, BOOL_DIM, DEEP,
-    # ARRAY and NO_VECTORS in ``argv`` standing for a valid, a malformed, a
-    # bool-``dim``, a too deeply nested, a non-object and a vector-less frame file.
+    # ARRAY, NO_VECTORS, NO_DIM and EXTRA_FIELD in ``argv`` standing for a valid,
+    # a malformed, a bool-``dim``, a too deeply nested, a non-object, a
+    # vector-less, a ``dim``-less and an extra-field frame file.
     contents = {
         "MALFORMED": '{"dim": 2,,}',
         "BOOL_DIM": '{"dim": true, "vectors": [[1.0], [0.5]]}',
         "ARRAY": "[1, 2]",
         "NO_VECTORS": '{"dim": 2, "vectors": []}',
+        "NO_DIM": '{"vectors": [[1, 0], [0, 1]]}',
+        "EXTRA_FIELD": '{"dim": 2, "vectors": [[1, 0], [0, 1]], "bound": [1, 2]}',
     }
     files = {"FRAME": frame_file, "DEEP": str(_deep_frame_file(tmp_path))}
     for name, text in contents.items():
@@ -721,8 +741,13 @@ def test_each_subcommand_imports_only_the_layers_it_runs(argv, modules, frame_fi
         ["perturb", "FRAME", "--scheme", "bogus"],
         ["perturb", "FRAME", "--scheme", "neumann", "--N-max", str(cli.N_MAX_CEILING + 1)],
         ["perturb", "FRAME", "--scheme", "neumann", "--N-max", str(10**400)],
+        ["analyze", "NO_DIM"],
+        ["dual", "EXTRA_FIELD"],
     ],
-    ids=["malformed", "bool-dim", "deep", "array", "no-vectors", "usage", "n-max-past-ceiling", "n-max-1e400"],
+    ids=[
+        "malformed", "bool-dim", "deep", "array", "no-vectors", "usage", "n-max-past-ceiling", "n-max-1e400",
+        "missing-field", "unknown-field",
+    ],  # fmt: skip
 )
 def test_refused_input_loads_no_layer_and_not_numpy(argv, frame_file, tmp_path):
     child = _importtime_child(argv, frame_file, tmp_path)
