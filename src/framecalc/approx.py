@@ -302,11 +302,13 @@ def _floor(scheme: Scheme, lower: float, upper: float, order: int, frame: Frame)
     A relative backward error in S moves E_N by at most B/A: the SVD's, twice
     ``linalg._svd_error`` of the frame's rows, and g's 3 roundings of lam. A
     rounding of a quantity no larger than |E_N| <= B/A costs 1: the coordinates,
-    a length-dim product with the eigenvectors (dim), and the error's norm over
-    the probe's, with 1 - x, the product with c, two length-dim sums of squares,
-    their roots and the division (2 dim + 5). A truncation norm,
-    max |lam^power / s - P_N| over values no larger than sqrt(B/A), has no
-    coordinates and 6 roundings besides P_N's, so this floor bounds it too.
+    a length-dim product with the eigenvectors (dim); the error's norm, with
+    1 - x, the product with c, a length-dim sum of squares and its root
+    (dim + 3); and the probe's one normalization in ``frames._probes``, a
+    length-dim sum of squares, its root and the division (dim + 2). A
+    truncation norm, max |lam^power / s - P_N| over values no larger than
+    sqrt(B/A), has no coordinates and 6 roundings besides P_N's, so this floor
+    bounds it too.
     """
     ratio, power, dim, u = upper / lower, _RULES[scheme].power, frame.dim, 2.0**-53
     mean = 0.5 * math.log(ratio) if scheme is Scheme.LOGARITHMIC else power * (1.0 - ratio) / 2.0
@@ -364,11 +366,12 @@ def run_convergence(
     Each order is measured through its error polynomial in S's eigenbasis,
     not by building the family: the order-N family is s P_N(S) phi_i, so its
     reconstruction error operator is E_N(S), and a probe's error is the norm of
-    E_N(lam) times its coordinates in S's eigenvectors. The probes are
-    ``samples`` seeded unit vectors plus every eigenvector of the frame
-    operator. Neumann and Logarithmic pair the approximate dual with the frame;
-    BinomialHalf pairs the approximate tight family with itself. BinomialHalf
-    refuses bounds with B >= 3A, where its error bound does not converge.
+    E_N(lam) times its coordinates in S's eigenvectors. The probes arrive as
+    unit vectors, ``samples`` seeded draws plus every eigenvector of the frame
+    operator, normalized once by ``frames._probes``. Neumann and Logarithmic
+    pair the approximate dual with the frame; BinomialHalf pairs the
+    approximate tight family with itself. BinomialHalf refuses bounds with
+    B >= 3A, where its error bound does not converge.
     """
     scheme = Scheme(scheme)
     rule = _RULES[scheme]
@@ -382,7 +385,7 @@ def run_convergence(
 
     probes = _probes(frame, samples, seed)
     spectrum, pairing, rows = frame_spectrum(frame), -1.0 / rule.power, []
-    coords = spectrum.eigenvectors.T @ (probes / np.linalg.norm(probes, axis=0))
+    coords = spectrum.eigenvectors.T @ probes
     # s P_N(S) approximates S^power, so a dual pairs with the frame (k = 1) and
     # the tight family with itself (k = 2): k = -1/power, and
     # E_N(lam) = 1 - lam s^k P_N(lam)^k. lam s^k is about lam / mean(A, B),

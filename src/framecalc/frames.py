@@ -346,15 +346,10 @@ def commuting_scale(frame: Frame, scale: Callable[[np.ndarray], np.ndarray]) -> 
 
 
 def _probes(frame: Frame, samples: int, seed: int) -> np.ndarray:
-    """Probe vectors as columns: ``samples`` seeded unit vectors, then every
-    eigenvector of the frame operator."""
+    """Unit probe vectors as columns: ``samples`` seeded standard normal draws,
+    then every eigenvector of the frame operator, each column normalized once."""
     samples = _check_count("samples", samples)
     rng = np.random.default_rng(_check_count("seed", seed))
-    rows = np.empty((0, frame.dim))
-    while len(rows) < samples:
-        # A block continues the stream of single draws; rejected rows are redrawn from it.
-        block = rng.standard_normal((samples - len(rows), frame.dim))
-        norms = np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0]
-        keep = norms[:, 0] > 1e-12
-        rows = np.vstack([rows, block[keep] / norms[keep]])
-    return np.column_stack([rows.T, frame_spectrum(frame).eigenvectors])
+    draws = rng.standard_normal((samples, frame.dim))
+    probes = np.column_stack([draws.T, frame_spectrum(frame).eigenvectors])
+    return probes / np.linalg.norm(probes, axis=0)

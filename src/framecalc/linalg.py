@@ -65,14 +65,16 @@ def symmetrize(matrix) -> np.ndarray:
     """Average a finite square matrix with its transpose.
 
     Entries (i, j) and (j, i) of the result come from the same floating-point
-    expression, so the output is exactly symmetric.
+    expression, so the output is exactly symmetric. Each entry is halved before
+    the sum, so no pair of finite entries overflows; halving is exact above the
+    subnormal range.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return (a + a.T) / 2.0
+    return 0.5 * a + 0.5 * a.T
 
 
 def _lead_signs(vectors: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from framecalc import (
     neumann_bound,
     neumann_dual,
     optimal_bounds,
+    proposition1_check,
     run_convergence,
     spectral_function,
     write_csv,
@@ -454,6 +455,30 @@ def test_run_convergence_random_sweep_bound_dominance():
         for scheme in schemes:
             report = run_convergence(frame, scheme, 1.0, ratio, 10, 24, 7)
             assert report.passed, (scheme, ratio, report.violations())
+
+
+def test_random_probes_never_move_a_verdict():
+    # Every verdict is decided on S's eigenvectors, which every probe set holds:
+    # the 32 seeded probes move a measured error by less than its floor and the
+    # worst proposition-1 violation by less than the tolerance, and never flip
+    # a verdict. So dropping them later removes no check.
+    rng = np.random.default_rng(2024)
+    frames = [demo_frame_2d(), demo_frame_3d(), Frame(1, rng.standard_normal((3, 1)))]
+    for dim, ratio in [(2, 30.0), (3, 1e8), (5, 2.5), (8, 1e4), (12, 1e6), (17, 1.5), (23, 1e8)]:
+        frames.append(random_frame(rng, dim, int(rng.integers(dim, 4 * dim + 1)), 1.0, ratio))
+    for frame in frames:
+        lower, upper = optimal_bounds(frame)
+        for scheme in Scheme:
+            if scheme is Scheme.BINOMIAL_HALF and upper >= 3.0 * lower:
+                continue
+            drawn, alone = (run_convergence(frame, scheme, lower, upper, 40, n, 0) for n in (32, 0))
+            for row, bare in zip(drawn.rows, alone.rows):
+                assert abs(row.measured_error - bare.measured_error) <= row.floor, (frame.dim, scheme, row)
+                assert row.passed == bare.passed, (frame.dim, scheme, row, bare)
+        for alpha in (-1.0, -0.5, -0.25, 0.5, 1.0):
+            drawn, alone = (proposition1_check(frame, alpha, n) for n in (32, 0))
+            assert drawn.passed == alone.passed, (frame.dim, alpha)
+            assert abs(drawn.worst_violation - alone.worst_violation) <= drawn.tolerance, (frame.dim, alpha)
 
 
 # ---------------------------------------------------------------------------

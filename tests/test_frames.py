@@ -594,51 +594,35 @@ def test_proposition1_refuses_samples_that_are_not_a_non_negative_integer(sample
     assert proposition1_check(frame, -0.5, samples=np.int64(3)).samples == 5
 
 
-def _single_draw_probes(frame, draws, samples):
-    """Probe columns as a loop over single draws builds them: each draw is
-    normalized by its norm, and one of norm 1e-12 or less is skipped."""
-    columns = []
-    for v in draws:
-        if len(columns) == samples:
-            break
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            columns.append(v / norm)
-    return np.column_stack(columns + [frame_spectrum(frame).eigenvectors])
+def _assert_positive_multiples(columns, expected):
+    """Each column is its expected column times one positive factor, to the one
+    rounding of each entry's division plus one of measuring the ratio; a zero
+    entry stays zero."""
+    zero = expected == 0.0
+    assert np.all(columns[zero] == 0.0)
+    ratio = np.where(zero, np.nan, columns / np.where(zero, 1.0, expected))
+    low, high = np.nanmin(ratio, axis=0), np.nanmax(ratio, axis=0)
+    assert np.all(low > 0.0)
+    assert np.all(high <= low * (1.0 + 5 * 2.0**-53))
 
 
-def test_probes_drawn_as_one_block_equal_single_draws_bit_for_bit(monkeypatch):
+def test_probes_are_the_seeded_draws_then_the_eigenvectors_each_normalized_once():
+    u = 2.0**-53
     for dim in range(1, 65):
-        frame = Frame(dim, np.eye(dim))
+        frame = Frame(dim, np.random.default_rng(dim).standard_normal((dim + 2, dim)))
+        eigenvectors = frame_spectrum(frame).eigenvectors
+        # The normalization's dim + 2 roundings and the dim + 1 of measuring its result.
+        tolerance = (2 * dim + 3) * u / (1.0 - (2 * dim + 3) * u)
         for seed in range(4):
-            rng = np.random.default_rng(seed)
-            draws = (rng.standard_normal(dim) for _ in itertools.count())
-            expected = _single_draw_probes(frame, draws, 32)
-            assert np.array_equal(_probes(frame, 32, seed), expected), (dim, seed)
-
-    # A rejected draw is replaced from the continuing stream: a generator whose
-    # first block holds a zero row is asked for one more row, once.
-    real_rng = np.random.default_rng
-    shapes = []
-
-    class ZeroRowFirst:
-        def __init__(self, seed):
-            self.rng = real_rng(seed)
-
-        def standard_normal(self, shape):
-            block = self.rng.standard_normal(shape)
-            if not shapes:
-                block[1] = 0.0
-            shapes.append(shape)
-            return block
-
-    monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
-    frame = Frame(7, np.eye(7))
-    rng = real_rng(11)
-    draws = [rng.standard_normal(7) for _ in range(33)]
-    draws[1][:] = 0.0
-    assert np.array_equal(_probes(frame, 32, 11), _single_draw_probes(frame, draws, 32))
-    assert shapes == [(32, 7), (1, 7)]
+            probes = _probes(frame, 32, seed)
+            assert probes.shape == (dim, 32 + dim)
+            assert np.max(np.abs(np.linalg.norm(probes, axis=0) - 1.0)) <= tolerance, (dim, seed)
+            draws = np.random.default_rng(seed).standard_normal((32, dim))
+            _assert_positive_multiples(probes[:, :32], draws.T)
+            _assert_positive_multiples(probes[:, 32:], eigenvectors)
+            assert np.array_equal(_probes(frame, 32, seed), probes)
+            alone = _probes(frame, 0, seed)
+            assert np.array_equal(alone, probes[:, 32:])
 
 
 # Every count that an entry point takes, with the name its refusal gives.

@@ -6,6 +6,8 @@ import pytest
 
 from framecalc import (
     EigenDecomposition,
+    demo_frame_2d,
+    frame_spectrum,
     spectral_function,
     symmetrize,
 )
@@ -113,3 +115,18 @@ def test_symmetrize_is_exact():
         symmetrize(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         symmetrize(np.ones((2, 3)))
+
+
+def test_symmetrize_does_not_overflow_on_finite_entries():
+    # Entries whose sum passes 1.8e308 are averaged without an overflow, which
+    # would give inf and a RuntimeWarning (an error under the suite's filter).
+    big = np.full((2, 2), 1e308)
+    assert np.array_equal(symmetrize(big), big)
+    operator = spectral_function(frame_spectrum(demo_frame_2d()), lambda lam: np.full_like(lam, 1e308))
+    assert np.array_equal(operator, operator.T)
+    assert np.max(np.abs(operator / 1e308 - np.eye(2))) <= 1e-15
+
+    # Halving is exact above the subnormal range, so the sum's single rounding
+    # is the old average's wherever that did not overflow.
+    a = np.random.default_rng(5).standard_normal((6, 6)) * 10.0 ** np.arange(-6, 30, 1).reshape(6, 6)
+    assert np.array_equal(symmetrize(a), (a + a.T) / 2.0)
